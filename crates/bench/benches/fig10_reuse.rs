@@ -1,6 +1,8 @@
 //! Fig. 10 bench: the value of reuse — identical greedy under the three
-//! reuse policies (paper-exact, conservative, off). This doubles as the
-//! ablation bench for the truss-component tree (DESIGN.md §8).
+//! reuse policies: exact route-level reuse, route-level reuse without the
+//! level-interval test, and off (`BASE+`). Since GAS reuses per-level
+//! route results rather than tree-node caches, FR/PR/NR and the timings
+//! here measure route-level reuse.
 
 use antruss_core::{Gas, GasConfig, ReusePolicy};
 use antruss_datasets::{generate, DatasetId};

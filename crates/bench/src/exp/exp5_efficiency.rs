@@ -1,6 +1,6 @@
 //! Exp-5 (Fig. 8): running time as the budget grows — GAS vs BASE+.
 //!
-//! The headline efficiency claim: GAS's tree reuse amortizes follower
+//! The headline efficiency claim: GAS's reuse amortizes follower
 //! computation across rounds, finishing in a fraction of BASE+'s time
 //! (≈ 20 % on the paper's Facebook/Google). Both solvers are dispatched
 //! through the engine registry and read as the unified

@@ -1,10 +1,13 @@
 //! Exp-8 (Fig. 10): how much round-1 work is reusable in later rounds.
 //!
-//! Candidates entering each round ≥ 2 are classified as fully reusable
-//! (no invalidated tree node in their `sla`), partially reusable, or
-//! non-reusable. The paper reports > 80 % fully reusable on Facebook and
-//! Gowalla — the justification for the truss-component tree. The
-//! classification rides on the unified
+//! Candidates with at least one seed entering each round ≥ 2 are
+//! classified by GAS's route-level reuse: fully reusable (no trussness
+//! level searched again), partially reusable (some levels), or
+//! non-reusable (every level). The paper counts tree nodes instead and
+//! reports > 80 % fully reusable on Facebook and Gowalla; route-level
+//! reuse keeps more, since it drops a level only when the anchoring
+//! changed an edge on or beside its route. The classification rides on
+//! the unified
 //! [`Outcome`](antruss_core::engine::Outcome)'s per-round reports.
 
 use antruss_core::metrics::ReuseClassCounts;

@@ -339,7 +339,15 @@ fn render_outcome(g: &CsrGraph, outcome: &Outcome) -> String {
             .collect();
         let _ = writeln!(out, "anchors: {}", anchors.join(" "));
     } else {
-        let mut t = Table::new(["round", "anchor", "endpoints", "gain", "recomputed"]);
+        let mut t = Table::new([
+            "round",
+            "anchor",
+            "endpoints",
+            "gain",
+            "recomputed",
+            "scan ms",
+            "refresh ms",
+        ]);
         for r in &outcome.rounds {
             let (anchor_cell, endpoints_cell) = match r.chosen {
                 antruss_core::engine::Anchor::Edge(e) => {
@@ -354,6 +362,8 @@ fn render_outcome(g: &CsrGraph, outcome: &Outcome) -> String {
                 endpoints_cell,
                 r.gain.to_string(),
                 r.recomputed.to_string(),
+                format!("{:.1}", r.scan.as_secs_f64() * 1e3),
+                format!("{:.1}", r.refresh.as_secs_f64() * 1e3),
             ]);
         }
         out.push_str(&t.render());
@@ -1212,10 +1222,16 @@ mod tests {
     fn anchor_threaded_matches_serial() {
         let a1 = run(&args("anchor college --scale 0.05 --b 2")).unwrap();
         let a2 = run(&args("anchor college --scale 0.05 --b 2 --threads 4")).unwrap();
-        // timing differs; compare everything except the elapsed suffix
+        // timing differs; compare everything except the elapsed suffix,
+        // the per-stage timing columns and the rule under the header
         let strip = |s: &str| {
+            let cut = s.lines().find_map(|l| l.find("scan ms")).unwrap();
             s.lines()
-                .map(|l| l.split("; ").take(3).collect::<Vec<_>>().join("; "))
+                .filter(|l| !l.starts_with('-'))
+                .map(|l| match l.contains("; ") {
+                    true => l.split("; ").take(3).collect::<Vec<_>>().join("; "),
+                    false => l.get(..cut).unwrap_or(l).to_string(),
+                })
                 .collect::<Vec<_>>()
                 .join("\n")
         };

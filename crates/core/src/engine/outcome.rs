@@ -54,6 +54,12 @@ pub struct RoundReport {
     /// Wall-clock time of the round (zero when the solver does not time
     /// rounds individually).
     pub elapsed: Duration,
+    /// Part of `elapsed` spent choosing the anchor (GAS family only, zero
+    /// elsewhere).
+    pub scan: Duration,
+    /// Part of `elapsed` spent committing the anchor and refreshing
+    /// trussness (GAS family only, zero elsewhere).
+    pub refresh: Duration,
     /// Candidate evaluations performed this round (0 when untracked).
     pub recomputed: usize,
     /// FR/PR/NR cache classification (GAS with reuse, rounds ≥ 2).
@@ -280,6 +286,8 @@ mod tests {
                 gain: 12,
                 follower_trussness: vec![3, 3, 4],
                 elapsed: Duration::from_millis(5),
+                scan: Duration::from_millis(3),
+                refresh: Duration::from_millis(2),
                 recomputed: 40,
                 reuse_classes: Some(ReuseClassCounts {
                     fully: 1,

@@ -32,7 +32,7 @@ impl Solver for GasSolver {
     fn description(&self) -> &str {
         match self.pinned_reuse {
             Some(ReusePolicy::Off) => "BASE+ (upward-route search, no reuse)",
-            _ => "GAS (Algorithm 6: upward routes + tree reuse)",
+            _ => "GAS (Algorithm 6: upward routes + route-level reuse)",
         }
     }
 
@@ -62,6 +62,8 @@ impl Solver for GasSolver {
                 gain: r.followers.len() as u64,
                 follower_trussness: r.follower_trussness,
                 elapsed: r.elapsed,
+                scan: r.scan,
+                refresh: r.refresh,
                 recomputed: r.recomputed,
                 reuse_classes: r.reuse_classes,
             };
@@ -109,6 +111,8 @@ impl Solver for BaseSolver {
                 gain: 0, // BASE does not report per-round claims
                 follower_trussness: Vec::new(),
                 elapsed: std::time::Duration::ZERO,
+                scan: std::time::Duration::ZERO,
+                refresh: std::time::Duration::ZERO,
                 recomputed: 0,
                 reuse_classes: None,
             })
@@ -256,6 +260,8 @@ impl Solver for AktSolver {
                 gain: cum.saturating_sub(prev),
                 follower_trussness: Vec::new(),
                 elapsed: std::time::Duration::ZERO,
+                scan: std::time::Duration::ZERO,
+                refresh: std::time::Duration::ZERO,
                 recomputed: 0,
                 reuse_classes: None,
             };
@@ -347,6 +353,8 @@ impl Solver for LazySolver {
                 gain: 0, // lazy reports evaluations, not per-round claims
                 follower_trussness: Vec::new(),
                 elapsed: std::time::Duration::ZERO,
+                scan: std::time::Duration::ZERO,
+                refresh: std::time::Duration::ZERO,
                 recomputed: evals,
                 reuse_classes: None,
             })

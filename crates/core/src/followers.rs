@@ -39,6 +39,23 @@ pub struct FollowerOutcome {
     pub route_size: usize,
 }
 
+/// One trussness level of the most recent search: the level, the
+/// followers it found and the upward route it popped.
+///
+/// A level-`i` search reads nothing but the level-`i` class (anchor,
+/// `t < i`, `t > i`, or `t = i` with its peel layer) of the route edges
+/// and of their triangle partners, so its result stays valid for as long
+/// as none of those classes changes — the invariant GAS's reuse rests on.
+#[derive(Debug, Clone, Copy)]
+pub struct LevelRoute<'a> {
+    /// The trussness level `i`.
+    pub level: u32,
+    /// Number of followers found at this level.
+    pub followers: usize,
+    /// The edges popped at this level, in pop order.
+    pub route: &'a [EdgeId],
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Status {
     Unchecked,
@@ -63,6 +80,11 @@ pub struct FollowerSearch {
     epoch: u32,
     heap: BinaryHeap<Reverse<(u32, u32)>>,
     retract_stack: Vec<(EdgeId, Status)>,
+    /// Edges popped by the last search, grouped by level.
+    route: Vec<EdgeId>,
+    /// Per level of the last search: `(level, followers, end of its run
+    /// in route)`.
+    levels: Vec<(u32, usize, usize)>,
 }
 
 impl FollowerSearch {
@@ -78,6 +100,8 @@ impl FollowerSearch {
             epoch: 0,
             heap: BinaryHeap::new(),
             retract_stack: Vec::new(),
+            route: Vec::new(),
+            levels: Vec::new(),
         }
     }
 
@@ -107,8 +131,8 @@ impl FollowerSearch {
 
     /// Followers of candidate anchor `x` under the current state
     /// (Algorithm 3). `seed_filter`, when given, keeps only seeds for which
-    /// it returns `true` — the hook the GAS tree-reuse uses to restrict the
-    /// search to invalidated tree nodes (Algorithm 6, line 8).
+    /// it returns `true` — the hook GAS's reuse uses to re-run only the
+    /// trussness levels an anchoring invalidated.
     pub fn followers(&mut self, st: &AtrState<'_>, x: EdgeId) -> FollowerOutcome {
         self.followers_filtered(st, x, |_| true)
     }
@@ -144,12 +168,30 @@ impl FollowerSearch {
         let mut levels: Vec<u32> = seeds.keys().copied().collect();
         levels.sort_unstable();
 
+        self.route.clear();
+        self.levels.clear();
         let mut out = FollowerOutcome::default();
         for i in levels {
             let seed_list = seeds.remove(&i).expect("level present");
             self.run_level(st, x, i, seed_list, &mut out);
         }
+        out.route_size = self.route.len();
         out
+    }
+
+    /// The levels of the most recent search, ascending; a level appears
+    /// when it had at least one seed.
+    pub fn last_levels(&self) -> impl Iterator<Item = LevelRoute<'_>> + '_ {
+        let mut start = 0;
+        self.levels.iter().map(move |&(level, followers, end)| {
+            let route = &self.route[start..end];
+            start = end;
+            LevelRoute {
+                level,
+                followers,
+                route,
+            }
+        })
     }
 
     /// Processes one trussness level `i`: lines 5–17 of Algorithm 3.
@@ -178,7 +220,7 @@ impl FollowerSearch {
             if self.status(e) != Status::Unchecked {
                 continue;
             }
-            out.route_size += 1;
+            self.route.push(e);
             // ---- support check: s+(e) over effective triangles ----------
             let s_plus = self.count_effective(st, x, e, i);
             if s_plus + 1 >= i {
@@ -220,6 +262,8 @@ impl FollowerSearch {
         out.followers.retain_from(first_survivor, |e: &EdgeId| {
             status_epoch[e.idx()] == epoch && status[e.idx()] == Status::Survived
         });
+        self.levels
+            .push((i, out.followers.len() - first_survivor, self.route.len()));
     }
 
     /// Number of effective triangles of `e` at level `i` (Definition 8).
@@ -439,6 +483,29 @@ mod tests {
         assert_eq!(got, want);
         // route examined the three 3-hull edges plus (8,10)
         assert_eq!(out.route_size, 4);
+    }
+
+    #[test]
+    fn last_levels_split_the_route_by_level() {
+        // Example 4 again: three followers on the level-3 route, none on
+        // the level-4 route through (8,10).
+        let g = fig3();
+        let st = AtrState::new(&g);
+        let mut fs = FollowerSearch::new(g.num_edges());
+        let out = fs.followers(&st, eid(&g, 9, 10));
+        let levels: Vec<(u32, usize, Vec<EdgeId>)> = fs
+            .last_levels()
+            .map(|l| (l.level, l.followers, l.route.to_vec()))
+            .collect();
+        assert_eq!(levels.len(), 2);
+        assert_eq!((levels[0].0, levels[0].1, levels[0].2.len()), (3, 3, 3));
+        assert_eq!(levels[1], (4, 0, vec![eid(&g, 8, 10)]));
+        let total: usize = levels.iter().map(|l| l.1).sum();
+        assert_eq!(total, out.followers.len());
+        // a filtered search reports only the levels it ran
+        fs.followers_filtered(&st, eid(&g, 9, 10), |e| st.t(e) == 4);
+        let only: Vec<u32> = fs.last_levels().map(|l| l.level).collect();
+        assert_eq!(only, vec![4]);
     }
 
     #[test]

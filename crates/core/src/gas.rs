@@ -1,24 +1,51 @@
-//! `GAS` — Algorithm 6: the full greedy with upward-route follower search
-//! and tree-based result reuse.
+//! `GAS` — Algorithm 6: the greedy with upward-route follower search and
+//! follower reuse between rounds.
+//!
+//! The paper reuses a candidate's cached followers unless the anchoring
+//! touched one of its truss-component-tree nodes (Lemma 5). When one
+//! component holds most of the graph, that rule drops almost every cache
+//! after every round. This implementation keys the cache on the upward
+//! routes instead. Each candidate keeps, per trussness level, its follower
+//! count and the route that level popped. After an anchoring, only the
+//! levels the anchoring can have changed are searched again.
+//!
+//! **The rule.** After anchoring `x`, the state is refreshed by a full
+//! re-decomposition. Let `D` be `x` plus every edge whose `t` or `l`
+//! changed. Each `d ∈ D` gets a level interval: `[t(x), ∞)` for `x`,
+//! `[t_old(d), t_new(d)]` otherwise. `d` and every edge sharing a triangle
+//! with `d` are marked with that interval. A marked candidate searches
+//! every level again (its seeds may have changed). Any other candidate
+//! searches level `i` again only when an edge on its level-`i` route is
+//! marked with an interval containing `i`.
+//!
+//! **Why it is exact.** A level-`i` search reads only the level-`i` class
+//! of the edges it pops and of their triangle partners (see
+//! [`LevelRoute`](crate::followers::LevelRoute)). That class — anchor,
+//! `t < i`, `t > i`, or `t = i` with its peel layer — changes only for
+//! levels inside the edge's interval. An unmarked candidate's seeds are
+//! unchanged, so an unmarked level replays step for step.
 
 use std::time::{Duration, Instant};
 
-use antruss_graph::{EdgeId, FxHashSet};
+use antruss_graph::triangles::for_each_triangle;
+use antruss_graph::{EdgeId, FxHashMap};
 
 use crate::followers::FollowerSearch;
 use crate::metrics::ReuseClassCounts;
+use crate::parallel::{best_candidate, scan_map};
 use crate::problem::AtrState;
-use crate::reuse::{anchor_with_reuse, InvalidationPolicy};
-use crate::tree::{sla, TrussTree};
 
 /// Reuse strategy of the greedy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReusePolicy {
-    /// Algorithm 5/6 as printed in the paper.
+    /// Exact route reuse (see the module docs): a level is searched again
+    /// when one of its route edges is marked with an interval containing
+    /// the level. Selections and per-round follower counts equal `BASE+`.
     #[default]
     PaperExact,
-    /// Paper's invalidation plus all of `sla(x)` (see
-    /// [`InvalidationPolicy::Conservative`]).
+    /// Route reuse without the interval test: any marked edge on a
+    /// level's route invalidates that level. Invalidates at least what
+    /// [`ReusePolicy::PaperExact`] does.
     Conservative,
     /// No reuse at all: recompute every candidate every round and refresh
     /// the state with a full re-decomposition. This is exactly the paper's
@@ -29,12 +56,12 @@ pub enum ReusePolicy {
 /// Configuration for [`Gas`].
 #[derive(Debug, Clone, Default)]
 pub struct GasConfig {
-    /// Reuse strategy (default: the paper's).
+    /// Reuse strategy (default: exact route reuse).
     pub reuse: ReusePolicy,
-    /// Worker threads for the candidate scan (`0` or `1` = serial). The
-    /// scan dominates round 1 and the no-reuse (`BASE+`) mode; later
-    /// reuse-enabled rounds recompute too few candidates to benefit.
-    /// Selections are deterministic for any thread count.
+    /// Worker threads for the candidate scan (`0` or `1` = serial): every
+    /// candidate in round 1 and under `BASE+`, the invalidated candidates
+    /// in later rounds with reuse. Selections, follower lists and work
+    /// counters are identical for any thread count.
     pub threads: usize,
 }
 
@@ -50,13 +77,20 @@ pub struct RoundReport {
     /// Trussness of each follower at selection time (for the Fig. 11(b)
     /// distribution).
     pub follower_trussness: Vec<u32>,
-    /// Wall-clock time of the round.
+    /// Wall-clock time of the round (`scan` + `refresh`).
     pub elapsed: Duration,
-    /// Number of candidate edges whose follower sets were recomputed this
-    /// round (m on round 1; much less with reuse).
+    /// Time spent choosing the anchor: the candidate scan and the
+    /// winner's follower list.
+    pub scan: Duration,
+    /// Time spent committing the anchor: the re-decomposition and, with
+    /// reuse, marking the changed edges.
+    pub refresh: Duration,
+    /// Candidates whose follower search ran this round. `BASE+` counts
+    /// every candidate. With reuse, only candidates with at least one seed
+    /// count: all of them in round 1, then those with an invalidated level.
     pub recomputed: usize,
-    /// FR/PR/NR classification of candidate caches entering this round
-    /// (rounds ≥ 2 with reuse enabled).
+    /// FR/PR/NR of the candidates with at least one seed (rounds ≥ 2 with
+    /// reuse): no level, some levels, or every level searched again.
     pub reuse_classes: Option<ReuseClassCounts>,
 }
 
@@ -76,43 +110,54 @@ pub struct GasOutcome {
     pub rounds: Vec<RoundReport>,
 }
 
-/// Cached follower partition of one candidate: `(TN.I, F[e][TN.I])`,
-/// sorted by node id; present for *every* id in the candidate's `sla` at
-/// computation time (possibly with an empty follower list).
-type CacheEntry = Vec<(u32, Vec<EdgeId>)>;
+/// One trussness level of a candidate's cached follower search.
+#[derive(Debug, Clone)]
+struct LevelCache {
+    level: u32,
+    followers: u32,
+    /// The edges the level popped (its upward route).
+    route: Box<[EdgeId]>,
+}
+
+/// The level intervals `[lo, hi]` the last anchoring marked each edge with.
+type Marks = FxHashMap<EdgeId, Vec<(u32, u32)>>;
+
+/// What one round's candidate scan found.
+struct Scan {
+    /// `(follower count, edge)` of the winner: most followers, ties toward
+    /// the smaller edge id.
+    best: Option<(usize, EdgeId)>,
+    recomputed: usize,
+    classes: Option<ReuseClassCounts>,
+}
 
 /// The GAS driver (Algorithm 6).
 pub struct Gas<'g> {
     st: AtrState<'g>,
     cfg: GasConfig,
-    tree: Option<TrussTree>,
     search: FollowerSearch,
-    /// `F[e][id]` caches; empty and unused when reuse is off.
-    cache: Vec<CacheEntry>,
-    /// `sla(e)` caches with a dirty flag.
-    sla_cache: Vec<Option<Vec<u32>>>,
-    /// Invalidation set from the previous round (node ids).
-    es: Vec<u32>,
+    /// Per-candidate level caches, ascending by level; empty and unused
+    /// when reuse is off.
+    cache: Vec<Vec<LevelCache>>,
+    /// Edges the last anchoring marked.
+    marks: Marks,
     round: usize,
 }
 
 impl<'g> Gas<'g> {
     /// Decomposes the graph and prepares the round state.
     pub fn new(g: &'g antruss_graph::CsrGraph, cfg: GasConfig) -> Self {
-        let st = AtrState::new(g);
-        let tree = match cfg.reuse {
-            ReusePolicy::Off => None,
-            _ => Some(TrussTree::build(g, &st.t, &st.anchors)),
-        };
         let m = g.num_edges();
+        let cache = match cfg.reuse {
+            ReusePolicy::Off => Vec::new(),
+            _ => vec![Vec::new(); m],
+        };
         Gas {
-            st,
+            st: AtrState::new(g),
             cfg,
-            tree,
             search: FollowerSearch::new(m),
-            cache: vec![CacheEntry::new(); m],
-            sla_cache: vec![None; m],
-            es: Vec::new(),
+            cache,
+            marks: Marks::default(),
             round: 0,
         }
     }
@@ -122,8 +167,8 @@ impl<'g> Gas<'g> {
         &self.st
     }
 
-    /// Runs `b` greedy rounds (stops early when no candidate has any
-    /// follower **and** the budget exceeds the edge count).
+    /// Runs `b` greedy rounds (stops early when no candidate edge is
+    /// left).
     pub fn run(mut self, b: usize) -> GasOutcome {
         let mut rounds = Vec::with_capacity(b);
         for _ in 0..b {
@@ -145,210 +190,180 @@ impl<'g> Gas<'g> {
     pub fn step(&mut self) -> Option<RoundReport> {
         self.round += 1;
         let start = Instant::now();
-        match self.cfg.reuse {
-            ReusePolicy::Off => self.step_no_reuse(start),
-            _ => self.step_with_reuse(start),
-        }
-    }
-
-    /// BASE+ behaviour: recompute everything, refresh fully.
-    fn step_no_reuse(&mut self, start: Instant) -> Option<RoundReport> {
-        let g = self.st.graph();
-        let candidates: Vec<EdgeId> = g.edges().filter(|&e| !self.st.is_anchor(e)).collect();
-        let recomputed = candidates.len();
-        let (chosen, _) = crate::parallel::best_candidate(&self.st, &candidates, self.cfg.threads)?;
-        let outcome = self.search.followers(&self.st, chosen);
-        let follower_trussness = outcome.followers.iter().map(|&f| self.st.t(f)).collect();
-        self.st.anchor_full_refresh(chosen);
-        Some(RoundReport {
-            round: self.round,
-            chosen,
-            followers: outcome.followers,
-            follower_trussness,
-            elapsed: start.elapsed(),
-            recomputed,
-            reuse_classes: None,
-        })
-    }
-
-    /// Algorithm 6 proper.
-    fn step_with_reuse(&mut self, start: Instant) -> Option<RoundReport> {
-        let g = self.st.graph();
-        let first_round = self.round == 1;
-        let mut best: Option<(usize, EdgeId)> = None;
-        let mut recomputed = 0usize;
-        let mut classes = ReuseClassCounts::default();
-        let es_set: FxHashSet<u32> = self.es.iter().copied().collect();
-
-        if first_round && self.cfg.threads > 1 {
-            // Round 1 computes every candidate from scratch — the one scan
-            // worth fanning out (`sla` is complete, caches are all empty,
-            // the seed filter is vacuous).
-            let tree = self.tree.as_ref().expect("tree present with reuse");
-            let candidates: Vec<EdgeId> = g.edges().filter(|&e| !self.st.is_anchor(e)).collect();
-            let st = &self.st;
-            let results = crate::parallel::scan_map(st, &candidates, self.cfg.threads, |fs, e| {
-                let sla_e = sla(g, &st.t, &st.anchors, tree, e);
-                if sla_e.is_empty() {
-                    return (sla_e, CacheEntry::new());
-                }
-                let outcome = fs.followers(st, e);
-                let mut entry: CacheEntry = sla_e.iter().map(|&id| (id, Vec::new())).collect();
-                for f in outcome.followers {
-                    let id = tree.id_of_edge(f).expect("follower in tree");
-                    match entry.binary_search_by_key(&id, |(i, _)| *i) {
-                        Ok(pos) => entry[pos].1.push(f),
-                        Err(pos) => entry.insert(pos, (id, vec![f])),
-                    }
-                }
-                (sla_e, entry)
-            });
-            for (&e, (sla_e, entry)) in candidates.iter().zip(results) {
-                let count: usize = entry.iter().map(|(_, fs)| fs.len()).sum();
-                if !sla_e.is_empty() {
-                    recomputed += 1;
-                }
-                self.sla_cache[e.idx()] = Some(sla_e);
-                self.cache[e.idx()] = entry;
-                // candidates ascend, so the first maximum keeps the
-                // smallest edge id — identical to the serial tie-break
-                if best.is_none_or(|(bc, _)| count > bc) {
-                    best = Some((count, e));
-                }
-            }
-            return self.commit_round(start, best, recomputed, classes, first_round);
-        }
-
-        for e in g.edges() {
-            if self.st.is_anchor(e) {
-                continue;
-            }
-            // -- refresh sla(e) if dirty -----------------------------------
-            if self.sla_cache[e.idx()].is_none() {
-                let tree = self.tree.as_ref().expect("tree present with reuse");
-                self.sla_cache[e.idx()] = Some(sla(g, &self.st.t, &self.st.anchors, tree, e));
-            }
-            let sla_e = self.sla_cache[e.idx()].as_ref().expect("just refreshed");
-            if sla_e.is_empty() {
-                // no seeds possible ⇒ zero followers, but the edge is still
-                // a legal candidate (keeps tie-breaking aligned with BASE+)
-                self.cache[e.idx()].clear();
-                if best.is_none() {
-                    best = Some((0, e));
-                }
-                continue;
-            }
-            // -- determine which node ids must be recomputed ---------------
-            let entry = &self.cache[e.idx()];
-            let mut need: Vec<u32> = Vec::new();
-            let mut kept: CacheEntry = Vec::new();
-            if first_round {
-                need.extend_from_slice(sla_e);
-            } else {
-                for &id in sla_e {
-                    let cached = entry.iter().find(|(cid, _)| *cid == id);
-                    match cached {
-                        Some((_, fs)) if !es_set.contains(&id) => {
-                            kept.push((id, fs.clone()));
-                        }
-                        _ => need.push(id),
-                    }
-                }
-                // classification for the reuse experiment (Exp-8)
-                if need.is_empty() {
-                    classes.fully += 1;
-                } else if kept.is_empty() {
-                    classes.non += 1;
-                } else {
-                    classes.partially += 1;
-                }
-            }
-            // -- recompute the needed nodes --------------------------------
-            let mut rebuilt: CacheEntry = kept;
-            if !need.is_empty() {
-                recomputed += 1;
-                let tree = self.tree.as_ref().expect("tree present with reuse");
-                let outcome = self.search.followers_filtered(&self.st, e, |seed| {
-                    tree.id_of_edge(seed)
-                        .is_some_and(|id| need.binary_search(&id).is_ok())
-                });
-                let mut fresh: Vec<(u32, Vec<EdgeId>)> =
-                    need.iter().map(|&id| (id, Vec::new())).collect();
-                for f in outcome.followers {
-                    let id = tree.id_of_edge(f).expect("follower in tree");
-                    match fresh.binary_search_by_key(&id, |(i, _)| *i) {
-                        Ok(pos) => fresh[pos].1.push(f),
-                        Err(pos) => fresh.insert(pos, (id, vec![f])),
-                    }
-                }
-                rebuilt.extend(fresh);
-            }
-            rebuilt.sort_unstable_by_key(|(id, _)| *id);
-            let count: usize = rebuilt.iter().map(|(_, fs)| fs.len()).sum();
-            self.cache[e.idx()] = rebuilt;
-            if best.is_none_or(|(bc, be)| count > bc || (count == bc && e < be))
-                && best.is_none_or(|(bc, _)| count >= bc)
-            {
-                best = Some((count, e));
-            }
-        }
-
-        self.commit_round(start, best, recomputed, classes, first_round)
-    }
-
-    /// Shared tail of a reuse-enabled round: anchors the winner with a
-    /// component-local refresh and invalidates the affected caches.
-    fn commit_round(
-        &mut self,
-        start: Instant,
-        best: Option<(usize, EdgeId)>,
-        recomputed: usize,
-        classes: ReuseClassCounts,
-        first_round: bool,
-    ) -> Option<RoundReport> {
-        let g = self.st.graph();
-        let (_, chosen) = best?;
-        let followers: Vec<EdgeId> = self.cache[chosen.idx()]
-            .iter()
-            .flat_map(|(_, fs)| fs.iter().copied())
-            .collect();
-        let follower_trussness: Vec<u32> = followers.iter().map(|&f| self.st.t(f)).collect();
-
-        // -- commit: component-local refresh + invalidation -----------------
-        let tree = self.tree.as_mut().expect("tree present with reuse");
-        let by_node = self.cache[chosen.idx()].clone();
-        let sla_x = self.sla_cache[chosen.idx()].clone().unwrap_or_default();
-        let policy = match self.cfg.reuse {
-            ReusePolicy::Conservative => InvalidationPolicy::Conservative,
-            _ => InvalidationPolicy::PaperExact,
+        let scan = match self.cfg.reuse {
+            ReusePolicy::Off => self.scan_all(),
+            _ => self.scan_with_reuse(),
         };
-        let outcome = anchor_with_reuse(&mut self.st, tree, chosen, &by_node, &sla_x, policy);
-
-        // mark sla caches dirty for every edge touching the rebuilt region
-        let mut touched = vec![false; g.num_vertices()];
-        for &e in &outcome.region {
-            let (u, v) = g.endpoints(e);
-            touched[u.idx()] = true;
-            touched[v.idx()] = true;
+        let (count, chosen) = scan.best?;
+        let followers = self.search.followers(&self.st, chosen).followers;
+        debug_assert_eq!(followers.len(), count, "reused count of {chosen:?}");
+        let follower_trussness = followers.iter().map(|&f| self.st.t(f)).collect();
+        let scanned = start.elapsed();
+        match self.cfg.reuse {
+            ReusePolicy::Off => self.st.anchor_full_refresh(chosen),
+            _ => self.anchor_and_mark(chosen),
         }
-        for e in g.edges() {
-            let (u, v) = g.endpoints(e);
-            if touched[u.idx()] || touched[v.idx()] {
-                self.sla_cache[e.idx()] = None;
-            }
-        }
-        self.es = outcome.invalidated;
-        self.cache[chosen.idx()].clear();
-
+        let elapsed = start.elapsed();
         Some(RoundReport {
             round: self.round,
             chosen,
             followers,
             follower_trussness,
-            elapsed: start.elapsed(),
-            recomputed,
-            reuse_classes: (!first_round).then_some(classes),
+            elapsed,
+            scan: scanned,
+            refresh: elapsed - scanned,
+            recomputed: scan.recomputed,
+            reuse_classes: scan.classes,
         })
+    }
+
+    /// `BASE+`: search every candidate.
+    fn scan_all(&self) -> Scan {
+        let candidates = self.candidates();
+        let best = best_candidate(&self.st, &candidates, self.cfg.threads)
+            .map(|(e, count)| (count as usize, e));
+        Scan {
+            best,
+            recomputed: candidates.len(),
+            classes: None,
+        }
+    }
+
+    /// Searches the candidates (and levels) the last anchoring
+    /// invalidated — every candidate in round 1 — and picks the winner
+    /// from the refreshed caches.
+    fn scan_with_reuse(&mut self) -> Scan {
+        let first = self.round == 1;
+        // Candidates absent from `levels` search every level again.
+        let mut dirty: Vec<EdgeId> = Vec::new();
+        let mut levels: FxHashMap<EdgeId, Vec<u32>> = FxHashMap::default();
+        for e in self.candidates() {
+            if first || self.marks.contains_key(&e) {
+                dirty.push(e);
+                continue;
+            }
+            let stale: Vec<u32> = self.cache[e.idx()]
+                .iter()
+                .filter(|lc| self.level_dirty(lc))
+                .map(|lc| lc.level)
+                .collect();
+            if !stale.is_empty() {
+                dirty.push(e);
+                levels.insert(e, stale);
+            }
+        }
+
+        let st = &self.st;
+        let fresh = scan_map(st, &dirty, self.cfg.threads, |fs, e| {
+            match levels.get(&e) {
+                None => fs.followers(st, e),
+                Some(only) => fs.followers_filtered(st, e, |p| only.contains(&st.t(p))),
+            };
+            fs.last_levels()
+                .map(|l| LevelCache {
+                    level: l.level,
+                    followers: l.followers as u32,
+                    route: l.route.into(),
+                })
+                .collect::<Vec<_>>()
+        });
+
+        let mut classes = ReuseClassCounts::default();
+        let mut recomputed = 0;
+        for (&e, fresh) in dirty.iter().zip(fresh) {
+            let entry = &mut self.cache[e.idx()];
+            let only = levels.get(&e);
+            match only {
+                None => *entry = fresh,
+                Some(only) => {
+                    entry.retain(|lc| !only.contains(&lc.level));
+                    entry.extend(fresh);
+                    entry.sort_unstable_by_key(|lc| lc.level);
+                }
+            }
+            // candidates without seeds have nothing to reuse or recompute
+            if entry.is_empty() {
+                continue;
+            }
+            recomputed += 1;
+            match only {
+                Some(only) if only.len() < entry.len() => classes.partially += 1,
+                _ => classes.non += 1,
+            }
+        }
+
+        let mut best: Option<(usize, EdgeId)> = None;
+        let mut seeded = 0;
+        for e in self.candidates() {
+            let entry = &self.cache[e.idx()];
+            seeded += usize::from(!entry.is_empty());
+            let count = entry.iter().map(|lc| lc.followers as usize).sum();
+            // candidates ascend, so the first maximum is the smallest id
+            if best.is_none_or(|(bc, _)| count > bc) {
+                best = Some((count, e));
+            }
+        }
+        classes.fully = seeded - recomputed;
+        Scan {
+            best,
+            recomputed,
+            classes: (!first).then_some(classes),
+        }
+    }
+
+    /// Whether a marked edge on the level's route changed class at that
+    /// level (any marked route edge under the conservative policy).
+    fn level_dirty(&self, lc: &LevelCache) -> bool {
+        let conservative = self.cfg.reuse == ReusePolicy::Conservative;
+        lc.route.iter().any(|r| {
+            self.marks.get(r).is_some_and(|intervals| {
+                conservative
+                    || intervals
+                        .iter()
+                        .any(|&(lo, hi)| (lo..=hi).contains(&lc.level))
+            })
+        })
+    }
+
+    /// Anchors `x` with a full re-decomposition and marks the changed
+    /// edges and their triangle partners for the next round's scan.
+    fn anchor_and_mark(&mut self, x: EdgeId) {
+        // the refresh replaces `t` and `l` wholesale, so the old vectors
+        // can move out instead of being copied
+        let old_t = std::mem::take(&mut self.st.t);
+        let old_l = std::mem::take(&mut self.st.l);
+        self.st.anchor_full_refresh(x);
+        self.cache[x.idx()] = Vec::new();
+
+        let st = &self.st;
+        let g = st.graph();
+        let mut marks = Marks::default();
+        let mut mark = |d: EdgeId, interval: (u32, u32)| {
+            marks.entry(d).or_default().push(interval);
+            for_each_triangle(g, d, |w| {
+                for p in [w.e_uw, w.e_vw] {
+                    marks.entry(p).or_default().push(interval);
+                }
+            });
+        };
+        mark(x, (old_t[x.idx()], u32::MAX));
+        for e in g.edges() {
+            if st.is_anchor(e) {
+                continue;
+            }
+            let (t0, t1) = (old_t[e.idx()], st.t(e));
+            if t0 != t1 || old_l[e.idx()] != st.l(e) {
+                debug_assert!(t1 >= t0, "anchoring never lowers trussness");
+                mark(e, (t0, t1));
+            }
+        }
+        self.marks = marks;
+    }
+
+    /// The non-anchored edges, ascending.
+    fn candidates(&self) -> Vec<EdgeId> {
+        let st = &self.st;
+        st.graph().edges().filter(|&e| !st.is_anchor(e)).collect()
     }
 }
 
@@ -356,7 +371,105 @@ impl<'g> Gas<'g> {
 mod tests {
     use super::*;
     use antruss_graph::gen::{gnm, social_network, SocialParams};
-    use antruss_graph::GraphBuilder;
+    use antruss_graph::{CsrGraph, GraphBuilder};
+    use proptest::prelude::*;
+
+    /// `(level, followers, route)` per level, as cached or as searched.
+    type Levels = Vec<(u32, usize, Vec<EdgeId>)>;
+
+    /// Runs up to `b` reuse rounds and checks, after every scan, that each
+    /// candidate's cache equals a fresh search level for level — count
+    /// and route — and that its counts sum to the fresh follower count.
+    fn check_caches_against_fresh_searches(g: &CsrGraph, reuse: ReusePolicy, b: usize) {
+        let mut gas = Gas::new(g, GasConfig { reuse, threads: 1 });
+        let mut fresh = FollowerSearch::new(g.num_edges());
+        for round in 1..=b {
+            gas.round += 1;
+            let scan = gas.scan_with_reuse();
+            for e in gas.candidates() {
+                let total = fresh.followers(&gas.st, e).followers.len();
+                let want: Levels = fresh
+                    .last_levels()
+                    .map(|l| (l.level, l.followers, l.route.to_vec()))
+                    .collect();
+                let got: Levels = gas.cache[e.idx()]
+                    .iter()
+                    .map(|lc| (lc.level, lc.followers as usize, lc.route.to_vec()))
+                    .collect();
+                assert_eq!(got, want, "round {round}, candidate {e:?}");
+                let reused: usize = got.iter().map(|l| l.1).sum();
+                assert_eq!(reused, total, "round {round}, candidate {e:?}");
+            }
+            let Some((_, x)) = scan.best else { break };
+            gas.anchor_and_mark(x);
+        }
+    }
+
+    fn social(n: u32, seed: u64) -> CsrGraph {
+        social_network(&SocialParams {
+            n,
+            target_edges: 4 * n as usize,
+            attach: 3,
+            closure: 0.6,
+            planted: vec![5],
+            onions: vec![],
+            seed,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn reused_levels_equal_fresh_searches_on_gnm(
+            n in 10u32..32,
+            m in 20usize..130,
+            seed in 0u64..1_000_000,
+            b in 1usize..9,
+        ) {
+            let g = gnm(n, m, seed);
+            for reuse in [ReusePolicy::PaperExact, ReusePolicy::Conservative] {
+                check_caches_against_fresh_searches(&g, reuse, b);
+            }
+        }
+
+        #[test]
+        fn reused_levels_equal_fresh_searches_on_social_graphs(
+            n in 30u32..90,
+            seed in 0u64..1_000_000,
+            b in 1usize..9,
+        ) {
+            let g = social(n, seed);
+            for reuse in [ReusePolicy::PaperExact, ReusePolicy::Conservative] {
+                check_caches_against_fresh_searches(&g, reuse, b);
+            }
+        }
+    }
+
+    #[test]
+    fn recomputed_counts_partially_and_non_reused_candidates() {
+        let g = social(120, 9);
+        for reuse in [ReusePolicy::PaperExact, ReusePolicy::Conservative] {
+            let out = Gas::new(&g, GasConfig { reuse, threads: 1 }).run(5);
+            assert!(out.rounds[0].reuse_classes.is_none());
+            for r in &out.rounds[1..] {
+                let c = r.reuse_classes.expect("classes from round 2 on");
+                assert_eq!(r.recomputed, c.partially + c.non, "{reuse:?}");
+                assert_eq!(r.elapsed, r.scan + r.refresh);
+            }
+        }
+    }
+
+    #[test]
+    fn conservative_recomputes_at_least_what_paper_does() {
+        let g = social(150, 4);
+        let run = |reuse| Gas::new(&g, GasConfig { reuse, threads: 1 }).run(6);
+        let (paper, conservative) = (run(ReusePolicy::PaperExact), run(ReusePolicy::Conservative));
+        assert_eq!(paper.anchors, conservative.anchors);
+        for (p, c) in paper.rounds.iter().zip(&conservative.rounds) {
+            assert!(c.recomputed >= p.recomputed, "round {}", p.round);
+        }
+    }
 
     #[test]
     fn gas_off_equals_base_plus_semantics() {

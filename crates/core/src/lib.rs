@@ -8,17 +8,20 @@
 //! (infinite support — never peeled by truss decomposition) so that the
 //! total trussness gain `Σ_{e ∈ E\A} (t_A(e) − t(e))` is maximized. The
 //! problem is NP-hard and non-submodular; the practical solver is a greedy
-//! that needs three accelerations to scale:
+//! that needs two accelerations to scale:
 //!
 //! * [`followers`] — `GetFollowers` (Algorithm 3): upward-route search with
 //!   effective-triangle support checks and retract cascades; computes the
-//!   exact follower set of one anchor without re-decomposing the graph;
-//! * [`tree`] — the truss-component tree (Algorithm 4) classifying edges by
-//!   trussness and triangle connectivity, with `sla(e)` subtree-adjacency;
-//! * [`reuse`] — `FollowerReuse` (Algorithm 5): after each anchoring, only
-//!   the anchored component is re-decomposed and only invalidated tree
-//!   nodes are recomputed in later rounds;
-//! * [`gas`] — `GAS` (Algorithm 6) assembling all of the above;
+//!   exact follower set of one anchor without re-decomposing the graph,
+//!   and reports the route each trussness level popped;
+//! * [`gas`] — `GAS` (Algorithm 6): the greedy, reusing each candidate's
+//!   per-level results between rounds unless the anchoring changed the
+//!   class of an edge on or beside that level's route;
+//! * [`tree`] and [`reuse`] — the paper's truss-component tree
+//!   (Algorithm 4, with `sla(e)` subtree-adjacency) and its tree-keyed
+//!   `FollowerReuse` with component-local refresh (Algorithm 5). `GAS` no
+//!   longer uses them; they stay as library code with their own tests and
+//!   benches;
 //! * [`baselines`] — `Exact`, `Rand`, `Sup`, `Tur`, `BASE`, `BASE+`, the
 //!   vertex-anchoring `AKT` comparator and the edge-deletion comparator;
 //! * [`engine`] — the unified [`Solver`](engine::Solver) API: one

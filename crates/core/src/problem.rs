@@ -6,10 +6,9 @@ use antruss_truss::{decompose, decompose_with, DecomposeOptions, TrussInfo, ANCH
 /// Mutable analysis state of one graph under a growing anchor set.
 ///
 /// Holds the current trussness `t(e)`, peel layer `l(e)` and anchor set of
-/// the graph `G_A`. Both the exact baselines and the accelerated GAS
-/// pipeline mutate an `AtrState`; they differ only in *how* they refresh
-/// `t`/`l` after an anchoring (full re-decomposition vs. component-local
-/// rebuild).
+/// the graph `G_A`. The baselines and GAS mutate an `AtrState` and
+/// refresh `t`/`l` after an anchoring by a full re-decomposition;
+/// [`crate::reuse`] holds the paper's component-local alternative.
 pub struct AtrState<'g> {
     graph: &'g CsrGraph,
     /// Current trussness per edge ([`ANCHOR_TRUSSNESS`] for anchors).
@@ -67,8 +66,8 @@ impl<'g> AtrState<'g> {
     }
 
     /// Adds `x` to the anchor set and refreshes `t`/`l` by a **full**
-    /// re-decomposition (the simple, always-correct path used by the
-    /// baselines; GAS uses the component-local path in [`crate::reuse`]).
+    /// re-decomposition (the simple, always-correct path `BASE+` and GAS
+    /// use).
     pub fn anchor_full_refresh(&mut self, x: EdgeId) {
         assert!(!self.anchors.contains(x), "{x:?} is already anchored");
         self.anchors.insert(x);

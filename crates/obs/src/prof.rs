@@ -547,9 +547,11 @@ pub fn thread_cpu_ns() -> u64 {
 // Lock-wait accounting
 // ---------------------------------------------------------------------
 
-/// Wait-time accounting for one named lock. Shared by every instance
-/// registered under the same name (a test may build many caches; they
-/// are one "outcome_cache" lock to the profile).
+/// Wait-time accounting for one named lock. The process-wide entry is
+/// shared by every instance registered under the same name (a test may
+/// build many caches; they are one "outcome_cache" lock to the
+/// profile); each instance also keeps its own, so one server's waits
+/// can be read apart from a sibling's in the same process.
 #[derive(Debug)]
 pub struct LockStats {
     name: &'static str,
@@ -558,10 +560,52 @@ pub struct LockStats {
 }
 
 impl LockStats {
+    fn new(name: &'static str) -> LockStats {
+        LockStats {
+            name,
+            wait: Histogram::new(),
+            max_wait_ns: AtomicU64::new(0),
+        }
+    }
+
     fn observe(&self, wait: Duration) {
         let ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
         self.wait.observe_ns(ns);
         self.max_wait_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> LockSnapshot {
+        let hist = self.wait.snapshot();
+        LockSnapshot {
+            name: self.name,
+            acquisitions: hist.count(),
+            wait_seconds: hist.sum_seconds(),
+            p99_us: hist.quantile_ns(0.99) / 1e3,
+            max_us: self.max_wait_ns.load(Ordering::Relaxed) as f64 / 1e3,
+            hist,
+        }
+    }
+}
+
+/// The two accounts one lock instance charges: the process-wide entry
+/// for its name and its own.
+#[derive(Debug)]
+struct LockAccounts {
+    shared: &'static LockStats,
+    own: LockStats,
+}
+
+impl LockAccounts {
+    fn new(name: &'static str) -> LockAccounts {
+        LockAccounts {
+            shared: lock_stats(name),
+            own: LockStats::new(name),
+        }
+    }
+
+    fn observe(&self, wait: Duration) {
+        self.shared.observe(wait);
+        self.own.observe(wait);
     }
 }
 
@@ -574,11 +618,7 @@ fn lock_stats(name: &'static str) -> &'static LockStats {
     if let Some(s) = locks.iter().find(|s| s.name == name) {
         return s;
     }
-    let s: &'static LockStats = Box::leak(Box::new(LockStats {
-        name,
-        wait: Histogram::new(),
-        max_wait_ns: AtomicU64::new(0),
-    }));
+    let s: &'static LockStats = Box::leak(Box::new(LockStats::new(name)));
     locks.push(s);
     s
 }
@@ -603,30 +643,18 @@ pub struct LockSnapshot {
 /// Every registered lock's wait snapshot, worst total wait first.
 pub fn lock_snapshots() -> Vec<LockSnapshot> {
     let locks = LOCKS.lock().unwrap();
-    let mut out: Vec<LockSnapshot> = locks
-        .iter()
-        .map(|s| {
-            let hist = s.wait.snapshot();
-            LockSnapshot {
-                name: s.name,
-                acquisitions: hist.count(),
-                wait_seconds: hist.sum_seconds(),
-                p99_us: hist.quantile_ns(0.99) / 1e3,
-                max_us: s.max_wait_ns.load(Ordering::Relaxed) as f64 / 1e3,
-                hist,
-            }
-        })
-        .collect();
+    let mut out: Vec<LockSnapshot> = locks.iter().map(|s| s.snapshot()).collect();
     out.sort_by(|a, b| b.wait_seconds.partial_cmp(&a.wait_seconds).unwrap());
     out
 }
 
 /// A [`Mutex`] whose every acquisition records its wait against a
-/// process-wide named histogram. Drop-in: `lock()` keeps the std
-/// signature, so `.lock().unwrap()` call sites don't change.
+/// process-wide named histogram and against the instance's own.
+/// Drop-in: `lock()` keeps the std signature, so `.lock().unwrap()`
+/// call sites don't change.
 #[derive(Debug)]
 pub struct ProfMutex<T> {
-    stats: &'static LockStats,
+    stats: LockAccounts,
     inner: Mutex<T>,
 }
 
@@ -634,9 +662,14 @@ impl<T> ProfMutex<T> {
     /// Wraps `value` in a mutex accounted under `name`.
     pub fn new(name: &'static str, value: T) -> ProfMutex<T> {
         ProfMutex {
-            stats: lock_stats(name),
+            stats: LockAccounts::new(name),
             inner: Mutex::new(value),
         }
+    }
+
+    /// This instance's waits alone, without other locks of its name.
+    pub fn snapshot(&self) -> LockSnapshot {
+        self.stats.own.snapshot()
     }
 
     /// Acquires the lock, recording the time spent waiting for it.
@@ -654,7 +687,7 @@ impl<T> ProfMutex<T> {
 /// holding it is what makes readers wait).
 #[derive(Debug)]
 pub struct ProfRwLock<T> {
-    stats: &'static LockStats,
+    stats: LockAccounts,
     inner: std::sync::RwLock<T>,
 }
 
@@ -662,9 +695,14 @@ impl<T> ProfRwLock<T> {
     /// Wraps `value` in a rwlock accounted under `name`.
     pub fn new(name: &'static str, value: T) -> ProfRwLock<T> {
         ProfRwLock {
-            stats: lock_stats(name),
+            stats: LockAccounts::new(name),
             inner: std::sync::RwLock::new(value),
         }
+    }
+
+    /// This instance's waits alone, without other locks of its name.
+    pub fn snapshot(&self) -> LockSnapshot {
+        self.stats.own.snapshot()
     }
 
     /// Acquires a read guard, recording the wait.
@@ -1126,6 +1164,10 @@ mod tests {
             snaps.iter().filter(|s| s.name == "prof_test_mutex").count(),
             1
         );
+        // while each instance still reads its own acquisitions alone
+        assert_eq!(again.snapshot().acquisitions, 1);
+        assert_eq!(m.snapshot().acquisitions, 10);
+        assert_eq!(l.snapshot().acquisitions, 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use antruss_obs::prof::ProfMutex;
+use antruss_obs::prof::{LockSnapshot, ProfMutex};
 
 use antruss_datasets::DatasetId;
 use antruss_graph::{io, io_binary, CsrGraph, EdgeId, EdgeSet, GraphBuilder, VertexId};
@@ -206,6 +206,12 @@ impl Catalog {
     /// An empty catalog; dataset specs load lazily.
     pub fn new() -> Catalog {
         Catalog::default()
+    }
+
+    /// Wait accounting of this catalog's write lock alone (the
+    /// process-wide `catalog_write` entry sums every catalog).
+    pub fn write_lock_snapshot(&self) -> LockSnapshot {
+        self.write_lock.snapshot()
     }
 
     /// The catalog's event stream.

@@ -38,19 +38,22 @@ proptest! {
     #[test]
     fn gas_with_threads_matches_serial(
         pairs in prop::collection::vec((0u8..24, 0u8..24), 20..160),
-        b in 1usize..4,
+        b in 1usize..6,
     ) {
         let g = graph_from_pairs(&pairs);
         prop_assume!(g.num_edges() >= 3);
-        for reuse in [ReusePolicy::PaperExact, ReusePolicy::Off] {
+        for reuse in [ReusePolicy::PaperExact, ReusePolicy::Conservative, ReusePolicy::Off] {
             let serial = Gas::new(&g, GasConfig { reuse, threads: 1 }).run(b);
             let par = Gas::new(&g, GasConfig { reuse, threads: 4 }).run(b);
             prop_assert_eq!(&serial.anchors, &par.anchors, "reuse {:?}", reuse);
             prop_assert_eq!(serial.total_gain, par.total_gain);
             prop_assert_eq!(serial.claimed_gain, par.claimed_gain);
-            let sf: Vec<usize> = serial.rounds.iter().map(|r| r.followers.len()).collect();
-            let pf: Vec<usize> = par.rounds.iter().map(|r| r.followers.len()).collect();
-            prop_assert_eq!(sf, pf);
+            // the work counters and follower lists, not just the picks
+            for (s, p) in serial.rounds.iter().zip(&par.rounds) {
+                prop_assert_eq!(&s.followers, &p.followers, "reuse {:?}", reuse);
+                prop_assert_eq!(s.recomputed, p.recomputed, "reuse {:?}", reuse);
+                prop_assert_eq!(s.reuse_classes, p.reuse_classes, "reuse {:?}", reuse);
+            }
         }
     }
 }
@@ -67,22 +70,15 @@ fn threaded_gas_on_a_social_graph() {
         onions: vec![],
         seed: 31,
     });
-    let serial = Gas::new(
-        &g,
-        GasConfig {
-            reuse: ReusePolicy::PaperExact,
-            threads: 1,
-        },
-    )
-    .run(5);
-    let par = Gas::new(
-        &g,
-        GasConfig {
-            reuse: ReusePolicy::PaperExact,
-            threads: 8,
-        },
-    )
-    .run(5);
-    assert_eq!(serial.anchors, par.anchors);
-    assert_eq!(serial.total_gain, par.total_gain);
+    for reuse in [ReusePolicy::PaperExact, ReusePolicy::Conservative] {
+        let serial = Gas::new(&g, GasConfig { reuse, threads: 1 }).run(5);
+        let par = Gas::new(&g, GasConfig { reuse, threads: 8 }).run(5);
+        assert_eq!(serial.anchors, par.anchors);
+        assert_eq!(serial.total_gain, par.total_gain);
+        for (s, p) in serial.rounds.iter().zip(&par.rounds) {
+            assert_eq!(s.followers, p.followers, "{reuse:?} round {}", s.round);
+            assert_eq!(s.recomputed, p.recomputed, "{reuse:?} round {}", s.round);
+            assert_eq!(s.reuse_classes, p.reuse_classes);
+        }
+    }
 }

@@ -148,12 +148,11 @@ fn start_server() -> Server {
     .expect("bind ephemeral port")
 }
 
-fn catalog_write_stats() -> (u64, f64) {
-    prof::lock_snapshots()
-        .into_iter()
-        .find(|l| l.name == "catalog_write")
-        .map(|l| (l.acquisitions, l.wait_seconds))
-        .unwrap_or((0, 0.0))
+/// This server's own catalog-write lock: the process-wide
+/// `catalog_write` entry also counts sibling tests' servers.
+fn catalog_write_stats(server: &Server) -> (u64, f64) {
+    let l = server.state().catalog.write_lock_snapshot();
+    (l.acquisitions, l.wait_seconds)
 }
 
 /// The lock-wait instrumentation charges the locks a workload actually
@@ -180,7 +179,7 @@ fn mutate_heavy_traffic_shows_catalog_lock_wait_reads_do_not() {
     }
 
     // read-only phase: solves never touch the catalog write lock
-    let (acq_before_reads, _) = catalog_write_stats();
+    let (acq_before_reads, _) = catalog_write_stats(&server);
     std::thread::scope(|scope| {
         for _ in 0..4 {
             scope.spawn(move || {
@@ -195,14 +194,14 @@ fn mutate_heavy_traffic_shows_catalog_lock_wait_reads_do_not() {
             });
         }
     });
-    let (acq_after_reads, _) = catalog_write_stats();
+    let (acq_after_reads, _) = catalog_write_stats(&server);
     assert_eq!(
         acq_after_reads, acq_before_reads,
         "read-only traffic must not take the catalog write lock"
     );
 
     // mutate-heavy phase: concurrent mutations serialize on the lock
-    let (acq_before, wait_before) = catalog_write_stats();
+    let (acq_before, wait_before) = catalog_write_stats(&server);
     std::thread::scope(|scope| {
         for t in 0..4 {
             scope.spawn(move || {
@@ -223,7 +222,7 @@ fn mutate_heavy_traffic_shows_catalog_lock_wait_reads_do_not() {
             });
         }
     });
-    let (acq_after, wait_after) = catalog_write_stats();
+    let (acq_after, wait_after) = catalog_write_stats(&server);
     assert!(
         acq_after >= acq_before + 40,
         "40 mutations must take the catalog write lock: {acq_before} -> {acq_after}"
