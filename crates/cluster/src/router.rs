@@ -52,15 +52,15 @@ use std::time::{Duration, Instant};
 
 use antruss_core::json::{self, Value};
 use antruss_obs::prof::{self, ProfRwLock};
-use antruss_obs::slo::{self, Objective, SloReport, SloSources};
-use antruss_obs::trace::{self, AssembledTrace};
-use antruss_obs::{Histogram, Hop, Recorder, Registry, SlowTraces, TraceContext};
+use antruss_obs::slo::{Objective, SloSources};
+use antruss_obs::trace;
+use antruss_obs::{Histogram, Recorder, Registry, SlowTraces};
 use antruss_service::events::random_epoch;
-use antruss_service::http::{Request, Response};
+use antruss_service::http::{encode_component, Request, Response};
 use antruss_service::server::{
-    epoch_now, metrics_history, readyz, resolve_threads, run_connection, sigint_received,
-    spawn_history_sampler, subresource, AcceptPool, SLOW_TRACE_CAP,
+    epoch_now, resolve_threads, run_connection, sigint_received, subresource, AcceptPool,
 };
+use antruss_service::tier::{self, Tier, SLOW_TRACE_CAP};
 use antruss_service::{canonical_key, Client, ClientResponse, Event, EventKind, EventLog};
 use antruss_store::store::{read_events_meta, write_events_meta};
 use antruss_store::OpLog;
@@ -334,7 +334,7 @@ pub struct RouterState {
     /// `GET /debug/traces` and dumped on SIGINT drain.
     pub traces: SlowTraces,
     /// Bounded metrics-history ring behind `GET /metrics/history`,
-    /// sampled from [`build_registry`] every `metrics_interval_ms` and
+    /// sampled from [`tier::registry`] every `metrics_interval_ms` and
     /// feeding the SLO burn-rate windows.
     pub recorder: Recorder,
     /// Last-known per-member summaries, refreshed by [`tick_state`] and
@@ -555,20 +555,7 @@ impl RouterState {
     /// second `ts` (the sampler thread passes the wall clock; tests
     /// pass synthetic trajectories).
     pub fn record_history(&self, ts: f64) {
-        self.recorder.record(ts, &build_registry(self));
-    }
-
-    /// Evaluates the configured objectives over the history ring,
-    /// anchored at the last recorded sample (so synthetic-time tests
-    /// and the live sampler agree on "now").
-    pub fn slo_report(&self) -> SloReport {
-        let now = self.recorder.last_ts().unwrap_or_else(epoch_now);
-        slo::evaluate(
-            &self.config.slos,
-            &self.recorder,
-            &router_slo_sources(),
-            now,
-        )
+        tier::record_history(self, ts)
     }
 
     /// The last-known summary for `addr`, if the health tick has
@@ -578,14 +565,53 @@ impl RouterState {
     }
 }
 
-/// Which recorder series feed the router's SLO engine: its own request
-/// and error counters, and the per-interval p99 the recorder derives
-/// from the request histogram.
-fn router_slo_sources() -> SloSources {
-    SloSources {
-        requests: "antruss_router_requests_total".to_string(),
-        errors: "antruss_router_errors_total".to_string(),
-        p99: "antruss_router_request_seconds{q=\"0.99\"}".to_string(),
+impl Tier for RouterState {
+    const NAME: &'static str = "router";
+
+    fn counters(&self) -> (&AtomicU64, &AtomicU64) {
+        (&self.requests, &self.errors)
+    }
+
+    fn traces(&self) -> &SlowTraces {
+        &self.traces
+    }
+
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    fn events(&self) -> &EventLog {
+        &self.events
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn objectives(&self) -> &[Objective] {
+        &self.config.slos
+    }
+
+    /// The router's own request and error counters, and the
+    /// per-interval p99 the recorder derives from the request histogram.
+    fn slo_sources(&self) -> SloSources {
+        SloSources {
+            requests: "antruss_router_requests_total".to_string(),
+            errors: "antruss_router_errors_total".to_string(),
+            p99: "antruss_router_request_seconds{q=\"0.99\"}".to_string(),
+        }
+    }
+
+    fn families(&self) -> Registry {
+        families(self)
+    }
+
+    fn route(&self, req: &Request) -> Response {
+        route(self, req)
+    }
+
+    fn observe(&self, _req: &Request, elapsed: Duration) {
+        self.request_hist.observe(elapsed);
     }
 }
 
@@ -701,114 +727,17 @@ fn relay(resp: &ClientResponse, ring_id: u32) -> Response {
     out.with_header("x-antruss-shard", &ring_id.to_string())
 }
 
-/// Paths whose traces never enter the slow ring: scrapes and polls
-/// would crowd out the requests worth debugging.
-fn untraced(path: &str) -> bool {
-    path == "/healthz"
-        || path == "/readyz"
-        || path.starts_with("/metrics")
-        || path == "/cluster/overview"
-        || path == "/events"
-        || path.starts_with("/debug/")
-}
-
-/// Routes one parsed request: counts it, adopts or originates its
-/// trace, and appends the router's hop record after whatever hops the
-/// backend echoed back through [`relay`].
+/// Routes one parsed request through the tier middleware
+/// ([`tier::handle`]), which appends the router's hop record after
+/// whatever hops the backend echoed back through [`relay`].
 pub fn handle(state: &RouterState, req: &Request) -> Response {
-    let started = Instant::now();
-    let cost = prof::begin_cost();
-    let (ctx, originated) = TraceContext::from_headers(
-        req.header(trace::TRACE_HEADER),
-        req.header(trace::SPAN_HEADER),
-    );
-    trace::begin_request(ctx);
-    state.requests.fetch_add(1, Ordering::Relaxed);
-    let mut resp = route(state, req);
-    if resp.status >= 400 {
-        state.errors.fetch_add(1, Ordering::Relaxed);
-    }
-    let elapsed = started.elapsed();
-    state.request_hist.observe(elapsed);
-    let (own_cpu_us, own_alloc_bytes) = cost.finish();
-    let hop = Hop {
-        tier: "router".to_string(),
-        span: ctx.span,
-        parent: ctx.parent,
-        us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        op: format!("{} {}", req.method, req.path),
-        phases: trace::take_phases()
-            .into_iter()
-            .map(|(n, us)| (n.to_string(), us))
-            .collect(),
-        cpu_us: own_cpu_us,
-        alloc_bytes: own_alloc_bytes,
-        costs: trace::take_costs()
-            .into_iter()
-            .map(|(n, c, b)| (n.to_string(), c, b))
-            .collect(),
-    };
-    // the backend's hops ride the relayed response; pull them out so the
-    // router's own record appends to the same header instead of
-    // duplicating it
-    let downstream = resp
-        .extra_headers
-        .iter()
-        .position(|(n, _)| n == trace::HOPS_HEADER)
-        .map(|i| resp.extra_headers.remove(i).1)
-        .unwrap_or_default();
-    // same for the downstream cost: fold the backend's spend into the
-    // router's own so the client sees the whole chain's total
-    let (mut cpu_us, mut alloc_bytes) = (own_cpu_us, own_alloc_bytes);
-    if let Some(i) = resp
-        .extra_headers
-        .iter()
-        .position(|(n, _)| n == prof::COST_HEADER)
-    {
-        let (_, v) = resp.extra_headers.remove(i);
-        if let Some((dc, db)) = prof::parse_cost(&v) {
-            cpu_us += dc;
-            alloc_bytes += db;
-        }
-    }
-    prof::observe_request_cost(
-        "endpoint",
-        if req.path == "/solve" {
-            "solve"
-        } else {
-            "other"
-        },
-        own_cpu_us,
-        own_alloc_bytes,
-    );
-    if originated && !untraced(&req.path) {
-        state
-            .traces
-            .record(AssembledTrace::assemble(&ctx, hop.clone(), &downstream));
-    }
-    let hops = trace::append_hop(
-        if downstream.is_empty() {
-            None
-        } else {
-            Some(&downstream)
-        },
-        &hop,
-    );
-    resp.with_header(trace::TRACE_HEADER, &ctx.trace_hex())
-        .with_header(trace::HOPS_HEADER, &hops)
-        .with_header(prof::COST_HEADER, &prof::format_cost(cpu_us, alloc_bytes))
+    tier::handle(state, req)
 }
 
 fn route(state: &RouterState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state),
-        ("GET", "/readyz") => readyz(state.shutdown.load(Ordering::SeqCst) || sigint_received()),
-        ("GET", "/metrics") => Response::text(200, render_metrics(state)),
-        ("GET", "/metrics/history") => metrics_history(&state.recorder, req),
         ("GET", "/cluster/overview") => cluster_overview(state),
-        ("GET", "/debug/traces") => Response::json(200, state.traces.to_json()),
-        ("GET", "/debug/prof") => Response::json(200, prof::debug_json("router")),
-        ("GET", "/events") => events_feed(state, req),
         ("GET", "/ring") => ring_info(state, req),
         ("GET", "/members") => members_list(state),
         ("POST", "/members") => members_join(state, req),
@@ -845,23 +774,14 @@ fn healthz(state: &RouterState) -> Response {
     // a member-less router is still a healthy router: it is up and
     // waiting for backends to join
     let ok = healthy > 0 || view.backends.is_empty();
-    let mut body = String::from("{\"status\":");
-    let mut slo_json = None;
-    if !ok {
-        body.push_str("\"down\"");
-    } else if state.config.slos.is_empty() {
-        body.push_str("\"ok\"");
+    // reachability is necessary but not sufficient: with objectives
+    // configured the verdict of a reachable router is the SLO burn level
+    let (status, slo_json) = if ok {
+        tier::slo_health(state)
     } else {
-        // reachability is necessary but no longer sufficient: with
-        // objectives configured the verdict is the SLO burn level
-        let report = state.slo_report();
-        body.push_str(&json::quoted(report.level().as_str()));
-        if let Some(burning) = report.burning() {
-            body.push_str(&format!(",\"burning\":{}", json::quoted(burning.name)));
-        }
-        slo_json = Some(report.to_json());
-    }
-    body.push_str(",\"backends\":[");
+        ("\"status\":\"down\"".to_string(), String::new())
+    };
+    let mut body = format!("{{{status},\"backends\":[");
     for (i, b) in view.backends.iter().enumerate() {
         if i > 0 {
             body.push(',');
@@ -874,9 +794,7 @@ fn healthz(state: &RouterState) -> Response {
         ));
     }
     body.push(']');
-    if let Some(slo) = slo_json {
-        body.push_str(&format!(",\"slo\":{slo}"));
-    }
+    body.push_str(&slo_json);
     body.push('}');
     Response::json(if ok { 200 } else { 503 }, body)
 }
@@ -907,7 +825,7 @@ fn cluster_overview(state: &RouterState) -> Response {
     let status = if state.config.slos.is_empty() {
         "ok".to_string()
     } else {
-        state.slo_report().level().as_str().to_string()
+        tier::slo_report(state).level().as_str().to_string()
     };
     body.push_str(&format!(
         "\"router\":{{\"status\":{},\"requests\":{},\"throughput\":{throughput:.3},\
@@ -980,48 +898,8 @@ fn cluster_overview(state: &RouterState) -> Response {
     Response::json(200, body)
 }
 
-/// `GET /events?since=S[&epoch=E][&wait=MS]` — the router's cluster
-/// event stream, with the same contract as a backend's catalog feed
-/// (see the service's `events_feed`): edge replicas pointed at the
-/// router subscribe here and get one event per completed cluster write.
-fn events_feed(state: &RouterState, req: &Request) -> Response {
-    macro_rules! u64_param {
-        ($name:literal, $default:expr) => {
-            match req.query_param($name) {
-                None => $default,
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Response::error(
-                            400,
-                            concat!("\"", $name, "\" must be a non-negative integer"),
-                        )
-                    }
-                },
-            }
-        };
-    }
-    let since = u64_param!("since", 0);
-    let epoch = u64_param!("epoch", 0);
-    let wait = u64_param!("wait", 0);
-    let batch = if wait == 0 {
-        state.events.since(since, Some(epoch))
-    } else {
-        state
-            .events
-            .wait_since(since, Some(epoch), Duration::from_millis(wait))
-    };
-    Response::json(200, batch.render())
-}
-
-fn render_metrics(state: &RouterState) -> String {
-    build_registry(state).render()
-}
-
-/// Builds the router's registry: served at `GET /metrics`, sampled
-/// into the history ring, and (when objectives are configured) carrying
-/// the `antruss_slo_*` gauge families.
-pub fn build_registry(state: &RouterState) -> Registry {
+/// The router's own metric families.
+fn families(state: &RouterState) -> Registry {
     let view = state.view();
     let members = state.membership.members();
     let dynamic = members.iter().filter(|m| !m.is_static).count();
@@ -1135,10 +1013,6 @@ pub fn build_registry(state: &RouterState) -> Registry {
             &snap,
         );
     }
-    if !state.config.slos.is_empty() {
-        state.slo_report().register(&mut reg);
-    }
-    prof::register_metrics(&mut reg);
     reg
 }
 
@@ -1572,23 +1446,6 @@ fn route_solve(state: &RouterState, req: &Request) -> Response {
     try_in_order(state, &view, &order, "POST", "/solve", Some(&req.body))
         .with_header("x-antruss-events-head", &events_head.to_string())
         .with_header("x-antruss-events-epoch", &events_epoch.to_string())
-}
-
-/// Percent-encodes one path segment or query value for a forwarded
-/// request. The incoming parser hands the router *decoded* names; a
-/// rebuilt URL must re-encode them or reserved characters (`&`, `?`,
-/// `%`, spaces) would change the request's meaning on the backend.
-fn encode_component(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            other => out.push_str(&format!("%{other:02X}")),
-        }
-    }
-    out
 }
 
 /// Publishes one cluster event and (with a data dir) persists the
@@ -2641,18 +2498,7 @@ impl Router {
         } else {
             None
         };
-        let sampler = if state.config.metrics_interval_ms > 0 {
-            let shutdown_state = Arc::clone(&state);
-            let record_state = Arc::clone(&state);
-            Some(spawn_history_sampler(
-                "antruss-router-sampler",
-                state.config.metrics_interval_ms,
-                Arc::new(move || shutdown_state.shutdown.load(Ordering::SeqCst)),
-                Arc::new(move |ts| record_state.record_history(ts)),
-            ))
-        } else {
-            None
-        };
+        let sampler = tier::spawn_sampler(&state, state.config.metrics_interval_ms);
         Ok(Router {
             state,
             pool,
@@ -2694,7 +2540,7 @@ impl Router {
             // stderr, mirroring the backend's --data-dir-less path
             eprintln!(
                 "--- final metrics snapshot ---\n{}",
-                render_metrics(&self.state)
+                tier::registry(&*self.state).render()
             );
             if !self.state.traces.is_empty() {
                 eprintln!(
@@ -3094,7 +2940,7 @@ mod tests {
     #[test]
     fn slo_level_flows_into_router_healthz_and_metrics() {
         let st = RouterState::new(RouterConfig {
-            slos: slo::parse_slos("availability=99.0").unwrap(),
+            slos: antruss_obs::slo::parse_slos("availability=99.0").unwrap(),
             ..RouterConfig::default()
         });
         st.record_history(0.0);

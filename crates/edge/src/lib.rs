@@ -27,24 +27,19 @@ use std::time::{Duration, Instant};
 
 use antruss_core::json;
 use antruss_obs::prof;
-use antruss_obs::slo::{self, Objective, SloReport, SloSources};
-use antruss_obs::trace::{self, AssembledTrace};
-use antruss_obs::{Histogram, Hop, Recorder, Registry, SlowTraces, TraceContext};
-use antruss_service::http::{Request, Response};
+use antruss_obs::slo::{Objective, SloSources};
+use antruss_obs::trace;
+use antruss_obs::{Histogram, Recorder, Registry, SlowTraces};
+use antruss_service::http::{encode_component, Request, Response};
 use antruss_service::server::{
-    epoch_now, metrics_history, readyz, resolve_threads, run_connection, sigint_received,
-    spawn_history_sampler, AcceptPool, SLOW_TRACE_CAP,
+    resolve_threads, run_connection, sigint_received, subresource, AcceptPool,
 };
-use antruss_service::{Client, ClientResponse, EventLog};
+use antruss_service::tier::{self, Tier, SLOW_TRACE_CAP};
+use antruss_service::{parse_solve, Client, ClientResponse, EventLog, OutcomeCache};
 
-mod cache;
-mod key;
 mod sync;
 
-pub use cache::{EdgeCache, EdgeCacheStats};
 pub use sync::parse_upstream;
-
-use key::solve_key;
 
 /// Everything configurable about one edge.
 #[derive(Debug, Clone)]
@@ -91,7 +86,7 @@ impl Default for EdgeConfig {
 }
 
 /// Edge-level counters (the cache keeps its own in
-/// [`EdgeCacheStats`]).
+/// [`antruss_service::CacheStats`]).
 #[derive(Default)]
 pub struct EdgeMetrics {
     /// HTTP requests accepted (any endpoint, any status).
@@ -138,8 +133,8 @@ pub struct EdgeState {
     /// Resolved upstream address.
     pub upstream: SocketAddr,
     upstream_display: String,
-    /// The gated outcome cache.
-    pub cache: EdgeCache,
+    /// The gated outcome cache, in the upstream's event epoch.
+    pub cache: OutcomeCache,
     /// The mirror of the upstream event log this edge re-serves.
     pub mirror: EventLog,
     /// Edge counters.
@@ -159,7 +154,7 @@ pub struct EdgeState {
     /// and dumped on SIGINT drain.
     pub traces: SlowTraces,
     /// Bounded metrics-history ring behind `GET /metrics/history`,
-    /// sampled from [`build_registry`] every `metrics_interval_ms` and
+    /// sampled from [`tier::registry`] every `metrics_interval_ms` and
     /// feeding the SLO burn-rate windows.
     pub recorder: Recorder,
     shutdown: AtomicBool,
@@ -171,7 +166,7 @@ impl EdgeState {
     pub fn new(config: EdgeConfig) -> io::Result<Arc<EdgeState>> {
         let upstream = parse_upstream(&config.upstream)?;
         Ok(Arc::new(EdgeState {
-            cache: EdgeCache::new(config.cache_capacity),
+            cache: OutcomeCache::new(config.cache_capacity),
             // epoch 0 = "no upstream adopted yet"; the subscriber's
             // first batch adopts the real identity
             mirror: EventLog::new(0),
@@ -230,15 +225,7 @@ impl EdgeState {
     /// `ts` (the sampler thread passes the wall clock; tests pass
     /// synthetic trajectories).
     pub fn record_history(&self, ts: f64) {
-        self.recorder.record(ts, &build_registry(self));
-    }
-
-    /// Evaluates the configured objectives over the history ring,
-    /// anchored at the last recorded sample (so synthetic-time tests
-    /// and the live sampler agree on "now").
-    pub fn slo_report(&self) -> SloReport {
-        let now = self.recorder.last_ts().unwrap_or_else(epoch_now);
-        slo::evaluate(&self.config.slos, &self.recorder, &edge_slo_sources(), now)
+        tier::record_history(self, ts)
     }
 
     /// Forwards one request upstream over a pooled keep-alive
@@ -289,22 +276,6 @@ impl EdgeState {
     }
 }
 
-/// Percent-encodes one path or query component (RFC 3986 unreserved
-/// bytes pass through). The edge parsed the decoded form; forwarding
-/// must re-encode it.
-fn encode_component(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
 /// Reassembles the request target (path + query) for forwarding.
 fn forward_target(req: &Request) -> String {
     let mut target: String = req
@@ -341,130 +312,70 @@ fn relay(up: ClientResponse) -> Response {
     resp
 }
 
-/// Paths whose traces never enter the slow ring: scrapes and polls
-/// would crowd out the requests worth debugging.
-fn untraced(path: &str) -> bool {
-    path == "/healthz"
-        || path == "/readyz"
-        || path.starts_with("/metrics")
-        || path == "/events"
-        || path.starts_with("/debug/")
-}
+impl Tier for EdgeState {
+    const NAME: &'static str = "edge";
 
-/// Which recorder series feed the edge's SLO engine: its own request
-/// and error counters, and the per-interval p99 the recorder derives
-/// from the request histogram.
-fn edge_slo_sources() -> SloSources {
-    SloSources {
-        requests: "antruss_edge_requests_total".to_string(),
-        errors: "antruss_edge_http_errors_total".to_string(),
-        p99: "antruss_edge_request_seconds{q=\"0.99\"}".to_string(),
+    fn counters(&self) -> (&AtomicU64, &AtomicU64) {
+        (&self.metrics.requests, &self.metrics.errors)
     }
-}
 
-/// Routes one parsed request. Public so in-process tests can drive an
-/// edge without a socket. Adopts or originates the request's trace;
-/// the edge is usually the outermost tier, so it is usually the one
-/// assembling the full timeline into its slow-trace ring.
-pub fn handle(state: &Arc<EdgeState>, req: &Request) -> Response {
-    let started = Instant::now();
-    let cost = prof::begin_cost();
-    let (ctx, originated) = TraceContext::from_headers(
-        req.header(trace::TRACE_HEADER),
-        req.header(trace::SPAN_HEADER),
-    );
-    trace::begin_request(ctx);
-    state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-    let mut resp = route(state, req);
-    if resp.status >= 400 {
-        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
+    fn traces(&self) -> &SlowTraces {
+        &self.traces
     }
-    let elapsed = started.elapsed();
-    state.request_hist.observe(elapsed);
-    let (own_cpu_us, own_alloc_bytes) = cost.finish();
-    let hop = Hop {
-        tier: "edge".to_string(),
-        span: ctx.span,
-        parent: ctx.parent,
-        us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        op: format!("{} {}", req.method, req.path),
-        phases: trace::take_phases()
-            .into_iter()
-            .map(|(n, us)| (n.to_string(), us))
-            .collect(),
-        cpu_us: own_cpu_us,
-        alloc_bytes: own_alloc_bytes,
-        costs: trace::take_costs()
-            .into_iter()
-            .map(|(n, c, b)| (n.to_string(), c, b))
-            .collect(),
-    };
-    // relay() preserved the upstream's x-antruss-* headers verbatim —
-    // pull the downstream hops (and the redundant trace id) back out so
-    // this tier appends its own hop to one combined header
-    let downstream = resp
-        .extra_headers
-        .iter()
-        .position(|(n, _)| n == trace::HOPS_HEADER)
-        .map(|i| resp.extra_headers.remove(i).1)
-        .unwrap_or_default();
-    resp.extra_headers.retain(|(n, _)| n != trace::TRACE_HEADER);
-    // fold the upstream's cost (relay() preserved its header) into this
-    // tier's own so the client sees the whole chain's spend
-    let (mut cpu_us, mut alloc_bytes) = (own_cpu_us, own_alloc_bytes);
-    if let Some(i) = resp
-        .extra_headers
-        .iter()
-        .position(|(n, _)| n == prof::COST_HEADER)
-    {
-        let (_, v) = resp.extra_headers.remove(i);
-        if let Some((dc, db)) = prof::parse_cost(&v) {
-            cpu_us += dc;
-            alloc_bytes += db;
+
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    /// The mirror of the upstream log — identical contract to the
+    /// serving node's feed, which is what lets edges daisy-chain.
+    fn events(&self) -> &EventLog {
+        &self.mirror
+    }
+
+    fn draining(&self) -> bool {
+        self.is_shutdown()
+    }
+
+    fn objectives(&self) -> &[Objective] {
+        &self.config.slos
+    }
+
+    /// The edge's own request and error counters, and the per-interval
+    /// p99 the recorder derives from the request histogram.
+    fn slo_sources(&self) -> SloSources {
+        SloSources {
+            requests: "antruss_edge_requests_total".to_string(),
+            errors: "antruss_edge_http_errors_total".to_string(),
+            p99: "antruss_edge_request_seconds{q=\"0.99\"}".to_string(),
         }
     }
-    prof::observe_request_cost(
-        "endpoint",
-        if req.path == "/solve" {
-            "solve"
-        } else {
-            "other"
-        },
-        own_cpu_us,
-        own_alloc_bytes,
-    );
-    if originated && !untraced(&req.path) {
-        state
-            .traces
-            .record(AssembledTrace::assemble(&ctx, hop.clone(), &downstream));
+
+    fn families(&self) -> Registry {
+        families(self)
     }
-    let hops = trace::append_hop(
-        if downstream.is_empty() {
-            None
-        } else {
-            Some(&downstream)
-        },
-        &hop,
-    );
-    resp.with_header(trace::TRACE_HEADER, &ctx.trace_hex())
-        .with_header(trace::HOPS_HEADER, &hops)
-        .with_header(prof::COST_HEADER, &prof::format_cost(cpu_us, alloc_bytes))
+
+    fn route(&self, req: &Request) -> Response {
+        route(self, req)
+    }
+
+    fn observe(&self, _req: &Request, elapsed: Duration) {
+        self.request_hist.observe(elapsed);
+    }
 }
 
-fn route(state: &Arc<EdgeState>, req: &Request) -> Response {
-    fn subresource<'p>(path: &'p str, suffix: &str) -> Option<&'p str> {
-        path.strip_prefix("/graphs/")
-            .and_then(|rest| rest.strip_suffix(suffix))
-            .filter(|name| !name.is_empty() && !name.contains('/'))
-    }
+/// Routes one parsed request through the tier middleware
+/// ([`tier::handle`]). Public so in-process tests can drive an edge
+/// without a socket. The edge is usually the outermost tier, so it is
+/// usually the one assembling the full timeline into its slow-trace
+/// ring.
+pub fn handle(state: &EdgeState, req: &Request) -> Response {
+    tier::handle(state, req)
+}
+
+fn route(state: &EdgeState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => healthz(state),
-        ("GET", "/readyz") => readyz(state.is_shutdown() || sigint_received()),
-        ("GET", "/metrics") => metrics(state),
-        ("GET", "/metrics/history") => metrics_history(&state.recorder, req),
-        ("GET", "/debug/traces") => Response::json(200, state.traces.to_json()),
-        ("GET", "/debug/prof") => Response::json(200, prof::debug_json("edge")),
-        ("GET", "/events") => events_feed(state, req),
         ("POST", "/solve") => solve(state, req),
         ("GET", "/graphs") => listing(state, "/graphs"),
         ("GET", "/solvers") => listing(state, "/solvers"),
@@ -483,20 +394,11 @@ fn route(state: &Arc<EdgeState>, req: &Request) -> Response {
 }
 
 fn healthz(state: &EdgeState) -> Response {
-    let mut status = String::from("\"ok\"");
-    let mut slo_json = String::new();
-    if !state.config.slos.is_empty() {
-        let report = state.slo_report();
-        status = json::quoted(report.level().as_str());
-        if let Some(burning) = report.burning() {
-            status.push_str(&format!(",\"burning\":{}", json::quoted(burning.name)));
-        }
-        slo_json = format!(",\"slo\":{}", report.to_json());
-    }
+    let (status, slo_json) = tier::slo_health(state);
     Response::json(
         200,
         format!(
-            "{{\"status\":{status},\"role\":\"edge\",\"upstream\":{{\"addr\":{},\"up\":{}}},\
+            "{{{status},\"role\":\"edge\",\"upstream\":{{\"addr\":{},\"up\":{}}},\
              \"events\":{{\"epoch\":{},\"head\":{}}}{slo_json}}}",
             json::quoted(&state.upstream_display),
             state.upstream_up(),
@@ -506,14 +408,8 @@ fn healthz(state: &EdgeState) -> Response {
     )
 }
 
-fn metrics(state: &EdgeState) -> Response {
-    Response::text(200, build_registry(state).render())
-}
-
-/// Builds the edge's registry: served at `GET /metrics`, sampled into
-/// the history ring, and (when objectives are configured) carrying the
-/// `antruss_slo_*` gauge families.
-pub fn build_registry(state: &EdgeState) -> Registry {
+/// The edge's own metric families.
+fn families(state: &EdgeState) -> Registry {
     let m = &state.metrics;
     let c = state.cache.stats();
     let head = state.mirror.head();
@@ -534,11 +430,8 @@ pub fn build_registry(state: &EdgeState) -> Registry {
     reg.counter("antruss_edge_cache_hits_total", c.hits);
     reg.counter("antruss_edge_cache_misses_total", c.misses);
     reg.counter("antruss_edge_cache_evictions_total", c.evictions);
-    reg.counter("antruss_edge_cache_refused_inserts_total", c.refusals);
-    reg.counter(
-        "antruss_edge_cache_invalidated_entries_total",
-        c.invalidated,
-    );
+    reg.counter("antruss_edge_cache_refused_inserts_total", c.stale_refused);
+    reg.counter("antruss_edge_cache_invalidated_entries_total", c.purged);
     reg.gauge("antruss_edge_cache_entries", c.entries as f64);
     reg.gauge("antruss_edge_cache_capacity", c.capacity as f64);
     reg.gauge("antruss_edge_cache_resident_bytes", c.resident_bytes as f64);
@@ -596,43 +489,7 @@ pub fn build_registry(state: &EdgeState) -> Registry {
             &snap,
         );
     }
-    if !state.config.slos.is_empty() {
-        state.slo_report().register(&mut reg);
-    }
-    prof::register_metrics(&mut reg);
     reg
-}
-
-/// `GET /events` off the mirror — identical contract to the serving
-/// node's feed, which is what lets edges daisy-chain.
-fn events_feed(state: &EdgeState, req: &Request) -> Response {
-    macro_rules! u64_param {
-        ($name:literal, $default:expr) => {
-            match req.query_param($name) {
-                None => $default,
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Response::error(
-                            400,
-                            concat!("\"", $name, "\" must be a non-negative integer"),
-                        )
-                    }
-                },
-            }
-        };
-    }
-    let since = u64_param!("since", 0);
-    let epoch = u64_param!("epoch", 0);
-    let wait = u64_param!("wait", 0);
-    let batch = if wait == 0 {
-        state.mirror.since(since, Some(epoch))
-    } else {
-        state
-            .mirror
-            .wait_since(since, Some(epoch), Duration::from_millis(wait))
-    };
-    Response::json(200, batch.render())
 }
 
 fn reject_write(state: &EdgeState) -> Response {
@@ -649,22 +506,22 @@ fn reject_write(state: &EdgeState) -> Response {
     )
 }
 
-fn solve(state: &Arc<EdgeState>, req: &Request) -> Response {
-    // the key is derivable only for bodies the upstream would accept;
-    // anything else is forwarded verbatim, uncached
-    let keyed = req.body_utf8().and_then(solve_key);
-    if let Some((key, _)) = &keyed {
+fn solve(state: &EdgeState, req: &Request) -> Response {
+    // only bodies the upstream would accept verbatim are keyed, by the
+    // upstream's own parser; anything else is forwarded, uncached
+    let key = parse_solve(&req.body).ok().map(|parsed| parsed.key);
+    if let Some(key) = &key {
         let lookup = Instant::now();
-        let cached = state.cache.get(key);
+        let cached = state.cache.get_stamped(key);
         let took = lookup.elapsed();
         state.observe_phase(PH_CACHE_LOOKUP, took);
         trace::note_phase("cache", took);
-        if let Some((body, stamp)) = cached {
-            let mut resp = Response::json(200, body.as_bytes().to_vec())
+        if let Some(hit) = cached {
+            let mut resp = Response::json(200, hit.body.as_bytes().to_vec())
                 .with_header("x-antruss-cache", "hit")
                 .with_header("x-antruss-edge", "hit")
-                .with_header("x-antruss-events-head", &stamp.to_string())
-                .with_header("x-antruss-events-epoch", &state.cache.epoch().to_string());
+                .with_header("x-antruss-events-head", &hit.stamp.to_string())
+                .with_header("x-antruss-events-epoch", &hit.epoch.to_string());
             if !state.upstream_up() {
                 state.metrics.stale_serves.fetch_add(1, Ordering::Relaxed);
                 resp = resp.with_header("x-antruss-stale", &state.staleness_seconds().to_string());
@@ -675,7 +532,7 @@ fn solve(state: &Arc<EdgeState>, req: &Request) -> Response {
     match state.forward("POST", "/solve", Some(("application/json", &req.body))) {
         Ok(up) => {
             if up.status == 200 {
-                if let Some((key, graph)) = keyed {
+                if let Some(key) = key {
                     // admit only when the upstream told us the body's
                     // freshness bound — the gate defeats solve/mutate
                     // races and epoch changes
@@ -688,9 +545,7 @@ fn solve(state: &Arc<EdgeState>, req: &Request) -> Response {
                     if let (Some(stamp), Some(epoch), Ok(body)) =
                         (bound, epoch, String::from_utf8(up.body.clone()))
                     {
-                        state
-                            .cache
-                            .insert_gated(key, &graph, Arc::new(body), stamp, epoch);
+                        state.cache.insert_in(epoch, key, Arc::new(body), stamp);
                     }
                 }
             }
@@ -706,7 +561,7 @@ fn solve(state: &Arc<EdgeState>, req: &Request) -> Response {
 /// `GET /graphs` / `GET /solvers`: forward when the upstream is
 /// reachable, remember the last good body, and fall back to it
 /// (flagged stale) when it isn't.
-fn listing(state: &Arc<EdgeState>, path: &'static str) -> Response {
+fn listing(state: &EdgeState, path: &'static str) -> Response {
     match state.forward("GET", path, None) {
         Ok(up) => {
             if up.status == 200 {
@@ -726,7 +581,7 @@ fn listing(state: &Arc<EdgeState>, path: &'static str) -> Response {
 
 /// Endpoints with no edge-side cache (`/cache/dump`, graph edge
 /// listings): pure passthrough, 503 when offline.
-fn passthrough_get(state: &Arc<EdgeState>, req: &Request) -> Response {
+fn passthrough_get(state: &EdgeState, req: &Request) -> Response {
     match state.forward("GET", &forward_target(req), None) {
         Ok(up) => relay(up),
         Err(_) => Response::error(503, "upstream unreachable"),
@@ -788,18 +643,7 @@ impl Edge {
             let state = Arc::clone(&state);
             prof::spawn("antruss-edge-sync", "subscriber", move || sync::run(state))?
         };
-        let sampler = if state.config.metrics_interval_ms > 0 {
-            let shutdown_state = Arc::clone(&state);
-            let record_state = Arc::clone(&state);
-            Some(spawn_history_sampler(
-                "antruss-edge-sampler",
-                state.config.metrics_interval_ms,
-                Arc::new(move || shutdown_state.is_shutdown()),
-                Arc::new(move |ts| record_state.record_history(ts)),
-            ))
-        } else {
-            None
-        };
+        let sampler = tier::spawn_sampler(&state, state.config.metrics_interval_ms);
         Ok(Edge {
             state,
             pool,
@@ -833,10 +677,9 @@ impl Edge {
         }
         if sigint_received() && !self.drained {
             self.drained = true;
-            let snapshot = metrics(&self.state);
             eprintln!(
                 "--- final metrics snapshot ---\n{}",
-                String::from_utf8_lossy(&snapshot.body)
+                tier::registry(&*self.state).render()
             );
             eprintln!(
                 "--- final profile snapshot ---\n{}",
@@ -933,14 +776,10 @@ mod tests {
     fn cached_outcomes_survive_the_upstream_being_down() {
         let state = edge_state();
         state.cache.set_epoch(7, 0);
-        let (key, graph) = solve_key(r#"{"graph":"g","b":2}"#).unwrap();
-        assert!(state.cache.insert_gated(
-            key,
-            &graph,
-            Arc::new("{\"outcome\":1}".to_string()),
-            3,
-            7
-        ));
+        let key = parse_solve(br#"{"graph":"g","b":2}"#).ok().unwrap().key;
+        assert!(state
+            .cache
+            .insert_in(7, key, Arc::new("{\"outcome\":1}".to_string()), 3));
         let hit = handle(&state, &request("POST", "/solve", r#"{"graph":"g","b":2}"#));
         assert_eq!(hit.status, 200);
         assert_eq!(header(&hit, "x-antruss-edge"), Some("hit"));
@@ -1035,7 +874,7 @@ mod tests {
     fn slo_level_flows_into_edge_healthz_and_metrics() {
         let state = EdgeState::new(EdgeConfig {
             upstream: "127.0.0.1:9".to_string(),
-            slos: slo::parse_slos("availability=99.0").unwrap(),
+            slos: antruss_obs::slo::parse_slos("availability=99.0").unwrap(),
             ..EdgeConfig::default()
         })
         .unwrap();

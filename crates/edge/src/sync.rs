@@ -48,10 +48,10 @@ fn sleep_retry(state: &EdgeState) {
 fn apply_event(state: &EdgeState, ev: Event) {
     match ev.kind {
         EventKind::Purge if ev.graph.is_empty() => {
-            state.cache.invalidate_all(ev.seq);
+            state.cache.purge_all(ev.seq);
         }
         _ => {
-            state.cache.invalidate_graph(&ev.graph, ev.seq);
+            state.cache.purge_graph(&ev.graph, ev.seq);
         }
     }
     state.metrics.events_applied.fetch_add(1, Ordering::Relaxed);

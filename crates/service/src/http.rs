@@ -293,6 +293,24 @@ fn percent_decode(s: &str) -> Result<String, ReadError> {
     String::from_utf8(out).map_err(|_| ReadError::Bad(format!("non-UTF-8 escape in {s:?}")))
 }
 
+/// Percent-encodes one path segment or query component (RFC 3986
+/// unreserved bytes pass through) — the inverse of the request parser's
+/// decoding. A tier that forwards a request it parsed must re-encode the
+/// decoded names, or reserved characters (`&`, `?`, `%`, spaces) would
+/// change the request's meaning downstream.
+pub fn encode_component(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for b in s.bytes() {
+        match b {
+            b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                out.push(b as char)
+            }
+            _ => out.push_str(&format!("%{b:02X}")),
+        }
+    }
+    out
+}
+
 /// One HTTP response ready to serialize.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -587,6 +605,17 @@ mod tests {
         let mut carry = Vec::new();
         let req = read_request(&mut reader, &mut carry, 1024).unwrap();
         assert_eq!(req.body_utf8(), Some("abc"));
+    }
+
+    #[test]
+    fn encoded_components_decode_back() {
+        for raw in ["plain-name_1.0~", "a b&c=d?e%f+g/h", "ünï"] {
+            let encoded = encode_component(raw);
+            assert!(encoded.bytes().all(
+                |b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'.' | b'~' | b'%')
+            ));
+            assert_eq!(percent_decode(&encoded).unwrap(), raw);
+        }
     }
 
     #[test]

@@ -11,7 +11,11 @@
 //! * [`cache::OutcomeCache`] — an LRU over *serialized* outcomes keyed by
 //!   `(graph, solver, b, k, seed, trials, policy)`, with hit / miss /
 //!   eviction counters: a repeated query returns byte-identical JSON
-//!   without re-running the solver;
+//!   without re-running the solver (the edge tier keeps the same cache,
+//!   keyed by the same [`server::parse_solve`]);
+//! * [`tier`] — the request middleware and ops routes (`/readyz`,
+//!   `/metrics`, `/metrics/history`, `/debug/*`, `/events`) that the
+//!   server, the cluster router and the edge all run;
 //! * [`server::Server`] — a hand-rolled HTTP/1.1 server
 //!   (`std::net::TcpListener` + a `crossbeam::channel` worker pool; no
 //!   external dependencies) with bounded request bodies, per-request
@@ -66,6 +70,7 @@ pub mod heartbeat;
 pub mod http;
 pub mod metrics;
 pub mod server;
+pub mod tier;
 
 pub use cache::{CacheKey, CacheStats, OutcomeCache};
 pub use catalog::{canonical_key, Catalog, CatalogError, MutationOutcome};
@@ -73,5 +78,6 @@ pub use client::{Client, ClientResponse};
 pub use events::{Event, EventBatch, EventKind, EventLog};
 pub use heartbeat::{CursorSource, HeartbeatClient};
 pub use server::{
-    handle, parse_dump_entries, AcceptPool, ConnPhases, Server, ServerConfig, ServiceState,
+    handle, parse_dump_entries, parse_solve, AcceptPool, ConnPhases, Server, ServerConfig,
+    ServiceState, SolveRequest,
 };

@@ -78,6 +78,12 @@ pub const ENDPOINTS: [(EndpointClass, &str); 6] = [
 ];
 
 impl EndpointClass {
+    /// The exposition label (`solve`, `mutate`, …) every tier records
+    /// request latency and cost under.
+    pub fn label(self) -> &'static str {
+        ENDPOINTS[self as usize].1
+    }
+
     /// Classifies one request by method and path.
     pub fn of(method: &str, path: &str) -> EndpointClass {
         match (method, path) {
@@ -108,9 +114,6 @@ pub struct Metrics {
     pub in_flight: AtomicU64,
     /// Graph mutation batches applied (`POST /graphs/{name}/mutate`).
     pub mutations: AtomicU64,
-    /// Cache entries dropped by purges (mutation invalidation, explicit
-    /// `/cache/purge`, graph deletion) — distinct from LRU evictions.
-    pub purged_entries: AtomicU64,
     /// Cache entries accepted via `/cache/load` (replication warm-up).
     pub warmed_entries: AtomicU64,
     phases: [Histogram; PHASES.len()],
@@ -127,7 +130,6 @@ impl Metrics {
             errors: AtomicU64::new(0),
             in_flight: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
-            purged_entries: AtomicU64::new(0),
             warmed_entries: AtomicU64::new(0),
             phases: std::array::from_fn(|_| Histogram::new()),
             endpoints: std::array::from_fn(|_| Histogram::new()),
@@ -154,28 +156,6 @@ impl Metrics {
     pub fn observe_solve(&self, elapsed: Duration) {
         self.solves.fetch_add(1, Ordering::Relaxed);
         self.observe_phase(Phase::Solve, elapsed);
-    }
-
-    /// The `p`-th percentile (0–100) of solve compute latency over the
-    /// process lifetime, in seconds (0.0 before the first solve).
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        self.phase(Phase::Solve)
-            .snapshot()
-            .quantile_seconds(p / 100.0)
-    }
-
-    /// Renders the `/metrics` document through the shared registry.
-    /// See [`Metrics::registry`] for the arguments.
-    pub fn render(
-        &self,
-        cache: &CacheStats,
-        catalog_graphs: usize,
-        shard: Option<u32>,
-        store: Option<&StoreStats>,
-        events: Option<(u64, u64)>,
-    ) -> String {
-        self.registry(cache, catalog_graphs, shard, store, events)
-            .render()
     }
 
     /// Builds the full metrics [`Registry`] — shared by the `/metrics`
@@ -225,10 +205,7 @@ impl Metrics {
             "antruss_cache_stale_inserts_refused_total",
             cache.stale_refused,
         );
-        r.counter(
-            "antruss_cache_purged_entries_total",
-            self.purged_entries.load(Ordering::Relaxed),
-        );
+        r.counter("antruss_cache_purged_entries_total", cache.purged);
         r.counter(
             "antruss_cache_warmed_entries_total",
             self.warmed_entries.load(Ordering::Relaxed),
@@ -333,6 +310,7 @@ mod tests {
             capacity: 64,
             resident_bytes: 4096,
             stale_refused: 1,
+            purged: 9,
         }
     }
 
@@ -344,11 +322,13 @@ mod tests {
         }
         // log2 buckets: the estimate is within a factor of two of the
         // exact order statistic
-        let p50 = m.latency_percentile(50.0);
+        let solve = m.phase(Phase::Solve).snapshot();
+        let p50 = solve.quantile_seconds(0.5);
         assert!((0.025..=0.100).contains(&p50), "{p50}");
-        let p99 = m.latency_percentile(99.0);
+        let p99 = solve.quantile_seconds(0.99);
         assert!((0.0495..=0.198).contains(&p99), "{p99}");
-        assert_eq!(Metrics::new().latency_percentile(50.0), 0.0);
+        let empty = Metrics::new().phase(Phase::Solve).snapshot();
+        assert_eq!(empty.quantile_seconds(0.5), 0.0);
     }
 
     #[test]
@@ -363,7 +343,7 @@ mod tests {
         }
         assert_eq!(m.solves.load(Ordering::Relaxed), 2001);
         assert_eq!(m.phase(Phase::Solve).snapshot().count(), 2001);
-        assert!(m.latency_percentile(99.99) > 5.0);
+        assert!(m.phase(Phase::Solve).snapshot().quantile_seconds(0.9999) > 5.0);
     }
 
     #[test]
@@ -392,6 +372,9 @@ mod tests {
         assert_eq!(EndpointClass::of("GET", "/solvers"), EndpointClass::Graphs);
         assert_eq!(EndpointClass::of("GET", "/healthz"), EndpointClass::Other);
         assert_eq!(EndpointClass::of("GET", "/metrics"), EndpointClass::Other);
+        for (class, label) in ENDPOINTS {
+            assert_eq!(class.label(), label);
+        }
     }
 
     #[test]
@@ -399,10 +382,9 @@ mod tests {
         let m = Metrics::new();
         m.requests.fetch_add(5, Ordering::Relaxed);
         m.mutations.fetch_add(2, Ordering::Relaxed);
-        m.purged_entries.fetch_add(9, Ordering::Relaxed);
         m.observe_solve(Duration::from_millis(2));
         m.observe_endpoint(EndpointClass::Events, Duration::from_millis(250));
-        let text = m.render(&stats(), 4, None, None, Some((77, 12)));
+        let text = m.registry(&stats(), 4, None, None, Some((77, 12))).render();
         for series in [
             "antruss_uptime_seconds",
             "antruss_requests_total 5",
@@ -442,7 +424,7 @@ mod tests {
             !text.contains("antruss_store_"),
             "storeless metrics have no store section"
         );
-        let sharded = m.render(&stats(), 4, Some(3), None, None);
+        let sharded = m.registry(&stats(), 4, Some(3), None, None).render();
         assert!(
             !sharded.contains("antruss_events_"),
             "no events section without an event log"
@@ -464,7 +446,7 @@ mod tests {
             recovered_ops: 5,
             dropped_bytes: 9,
         };
-        let text = m.render(&stats(), 4, None, Some(&store), None);
+        let text = m.registry(&stats(), 4, None, Some(&store), None).render();
         for series in [
             "antruss_store_wal_bytes 1024",
             "antruss_store_wal_records 7",

@@ -27,22 +27,21 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-use antruss_core::engine::{registry, RunConfig};
+use antruss_core::engine::{registry, RunConfig, Solver};
 use antruss_core::json::{self, Value};
 use antruss_core::ReusePolicy;
 use antruss_datasets::DatasetId;
 use antruss_store::{FsyncPolicy, Store};
 
-use antruss_obs::slo::{self, Objective, SloReport, SloSources};
-use antruss_obs::{self as obs, prof, trace, Hop, Recorder, Registry, SlowTraces, TraceContext};
+use antruss_obs::slo::{Objective, SloSources};
+use antruss_obs::{self as obs, prof, trace, Recorder, Registry, SlowTraces};
 
 use crate::cache::{CacheKey, OutcomeCache};
 use crate::catalog::{Catalog, CatalogError};
+use crate::events::EventLog;
 use crate::http::{read_request_expecting, ReadError, Request, Response};
-use crate::metrics::{EndpointClass, InFlight, Metrics, Phase, ENDPOINTS};
-
-/// How many worst-case traces each tier's `/debug/traces` ring keeps.
-pub const SLOW_TRACE_CAP: usize = 16;
+use crate::metrics::{EndpointClass, InFlight, Metrics, Phase};
+use crate::tier::{self, Tier, SLOW_TRACE_CAP};
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
@@ -118,30 +117,6 @@ pub fn epoch_now() -> f64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs_f64())
         .unwrap_or(0.0)
-}
-
-/// `GET /metrics/history?series=<name>&since=<ts>` — shared by all
-/// three tiers (each passes its own recorder).
-pub fn metrics_history(recorder: &Recorder, req: &Request) -> Response {
-    let since = match req.query_param("since") {
-        None => None,
-        Some(v) => match v.parse::<f64>() {
-            Ok(t) if t.is_finite() => Some(t),
-            _ => return Response::error(400, "\"since\" must be a finite timestamp"),
-        },
-    };
-    Response::json(200, recorder.render_json(req.query_param("series"), since))
-}
-
-/// `GET /readyz` — readiness, as opposed to `/healthz` liveness: 503
-/// while draining so load balancers and the router rotate traffic away
-/// *before* the listener goes down, 200 otherwise. Shared by all tiers.
-pub fn readyz(draining: bool) -> Response {
-    if draining {
-        Response::json(503, "{\"status\":\"draining\"}".to_string())
-    } else {
-        Response::json(200, "{\"status\":\"ready\"}".to_string())
-    }
 }
 
 /// Everything the request handlers share. Separated from [`Server`] so
@@ -244,48 +219,73 @@ impl ServiceState {
         })
     }
 
-    /// The full registry a `/metrics` scrape renders: tier metrics plus
-    /// the `antruss_slo_*` gauges when objectives are configured. The
-    /// history sampler records exactly this, so the trajectory and the
-    /// scrape can never disagree.
-    pub fn build_registry(&self) -> Registry {
-        let mut r = self.metrics.registry(
-            &self.cache.stats(),
-            self.catalog.len(),
-            self.config.shard,
-            self.store.as_deref().map(Store::stats).as_ref(),
-            Some((self.catalog.events().epoch(), self.catalog.events().head())),
-        );
-        if !self.config.slos.is_empty() {
-            self.slo_report().register(&mut r);
-        }
-        prof::register_metrics(&mut r);
-        r
-    }
-
-    /// Evaluates the configured objectives over the recorded history
-    /// (empty report — always `ok` — without `--slo`).
-    pub fn slo_report(&self) -> SloReport {
-        let now = self.recorder.last_ts().unwrap_or_else(epoch_now);
-        slo::evaluate(&self.config.slos, &self.recorder, &slo_sources(), now)
-    }
-
     /// Samples the current registry into the history ring at `ts`
     /// (seconds — the sampler thread passes [`epoch_now`], tests pass
     /// synthetic time).
     pub fn record_history(&self, ts: f64) {
-        self.recorder.record(ts, &self.build_registry());
+        tier::record_history(self, ts)
     }
 }
 
-/// The series the backend's SLO objectives read: overall request and
-/// error counters, and the per-interval p99 of the solve endpoint
-/// class.
-fn slo_sources() -> SloSources {
-    SloSources {
-        requests: "antruss_requests_total".to_string(),
-        errors: "antruss_http_errors_total".to_string(),
-        p99: "antruss_endpoint_latency_seconds{endpoint=\"solve\",q=\"0.99\"}".to_string(),
+impl Tier for ServiceState {
+    const NAME: &'static str = "server";
+
+    fn counters(&self) -> (&AtomicU64, &AtomicU64) {
+        (&self.metrics.requests, &self.metrics.errors)
+    }
+
+    fn traces(&self) -> &SlowTraces {
+        &self.traces
+    }
+
+    fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    fn events(&self) -> &EventLog {
+        self.catalog.events()
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn objectives(&self) -> &[Objective] {
+        &self.config.slos
+    }
+
+    /// Overall request and error counters, and the per-interval p99 of
+    /// the solve endpoint class.
+    fn slo_sources(&self) -> SloSources {
+        SloSources {
+            requests: "antruss_requests_total".to_string(),
+            errors: "antruss_http_errors_total".to_string(),
+            p99: "antruss_endpoint_latency_seconds{endpoint=\"solve\",q=\"0.99\"}".to_string(),
+        }
+    }
+
+    fn families(&self) -> Registry {
+        let events = self.catalog.events();
+        self.metrics.registry(
+            &self.cache.stats(),
+            self.catalog.len(),
+            self.config.shard,
+            self.store.as_deref().map(Store::stats).as_ref(),
+            Some((events.epoch(), events.head())),
+        )
+    }
+
+    fn route(&self, req: &Request) -> Response {
+        let resp = route(self, req);
+        if resp.status < 400 {
+            note_cluster_cursor(self, req);
+        }
+        resp
+    }
+
+    fn observe(&self, req: &Request, elapsed: Duration) {
+        self.metrics
+            .observe_endpoint(EndpointClass::of(&req.method, &req.path), elapsed);
     }
 }
 
@@ -298,106 +298,29 @@ fn policy_from_str(s: &str) -> Option<(&'static str, ReusePolicy)> {
     }
 }
 
-/// Paths whose traces never enter the slow ring: scrapes and polls
-/// would crowd out the requests worth debugging.
-fn untraced(path: &str) -> bool {
-    path == "/healthz"
-        || path == "/readyz"
-        || path.starts_with("/metrics")
-        || path == "/events"
-        || path.starts_with("/debug/")
-}
-
-/// Routes one parsed request. Counts it in the metrics (in-flight
-/// gauge, endpoint-class histogram, phase histograms via the handlers),
-/// adopts or originates the request's trace, and stamps the response
-/// with `x-antruss-trace` plus this tier's hop record.
+/// Routes one parsed request through the tier middleware
+/// ([`tier::handle`]) while the in-flight gauge counts it.
 pub fn handle(state: &ServiceState, req: &Request) -> Response {
-    let started = Instant::now();
-    let cost = prof::begin_cost();
-    let (ctx, originated) = TraceContext::from_headers(
-        req.header(trace::TRACE_HEADER),
-        req.header(trace::SPAN_HEADER),
-    );
-    trace::begin_request(ctx);
-    let _guard = InFlight::enter(&state.metrics);
-    state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-    let resp = route(state, req);
-    if resp.status >= 400 {
-        state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-    } else {
-        note_cluster_cursor(state, req);
-    }
-    let elapsed = started.elapsed();
-    let class = EndpointClass::of(&req.method, &req.path);
-    state.metrics.observe_endpoint(class, elapsed);
-    let (cpu_us, alloc_bytes) = cost.finish();
-    let class_label = ENDPOINTS
-        .iter()
-        .find(|(c, _)| *c == class)
-        .map(|(_, l)| *l)
-        .unwrap_or("other");
-    prof::observe_request_cost("endpoint", class_label, cpu_us, alloc_bytes);
-    let hop = Hop {
-        tier: "server".to_string(),
-        span: ctx.span,
-        parent: ctx.parent,
-        us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
-        op: format!("{} {}", req.method, req.path),
-        phases: trace::take_phases()
-            .into_iter()
-            .map(|(n, us)| (n.to_string(), us))
-            .collect(),
-        cpu_us,
-        alloc_bytes,
-        costs: trace::take_costs()
-            .into_iter()
-            .map(|(n, c, b)| (n.to_string(), c, b))
-            .collect(),
-    };
-    if originated && !untraced(&req.path) {
-        // no downstream tiers below a backend: the timeline is just us
-        state
-            .traces
-            .record(antruss_obs::trace::AssembledTrace::assemble(
-                &ctx,
-                hop.clone(),
-                "",
-            ));
-    }
-    resp.with_header(trace::TRACE_HEADER, &ctx.trace_hex())
-        .with_header(trace::HOPS_HEADER, &trace::append_hop(None, &hop))
-        .with_header(prof::COST_HEADER, &prof::format_cost(cpu_us, alloc_bytes))
+    let _in_flight = InFlight::enter(&state.metrics);
+    tier::handle(state, req)
 }
 
 fn route(state: &ServiceState, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             let events = state.catalog.events();
-            let report = state.slo_report();
-            let mut body = format!("{{\"status\":\"{}\"", report.level().as_str());
-            if let Some(burning) = report.burning() {
-                body.push_str(&format!(",\"burning\":\"{}\"", burning.name));
-            }
-            body.push_str(&format!(
-                ",\"events\":{{\"epoch\":{},\"head\":{}}}",
-                json::quoted(&events.epoch().to_string()),
-                events.head()
-            ));
-            if !state.config.slos.is_empty() {
-                body.push_str(&format!(",\"slo\":{}", report.to_json()));
-            }
-            body.push('}');
+            let (status, slo) = tier::slo_health(state);
             // always HTTP 200: a degraded node is alive — readiness
             // and LB rotation act on /readyz and the status field
-            Response::json(200, body)
+            Response::json(
+                200,
+                format!(
+                    "{{{status},\"events\":{{\"epoch\":{},\"head\":{}}}{slo}}}",
+                    json::quoted(&events.epoch().to_string()),
+                    events.head()
+                ),
+            )
         }
-        ("GET", "/readyz") => readyz(state.shutdown.load(Ordering::SeqCst) || sigint_received()),
-        ("GET", "/metrics") => Response::text(200, state.build_registry().render()),
-        ("GET", "/metrics/history") => metrics_history(&state.recorder, req),
-        ("GET", "/events") => events_feed(state, req),
-        ("GET", "/debug/traces") => Response::json(200, state.traces.to_json()),
-        ("GET", "/debug/prof") => Response::json(200, prof::debug_json("server")),
         ("POST", "/debug/delay") => {
             let ms = match req.query_param("ms") {
                 Some(v) => match v.parse::<u64>() {
@@ -430,43 +353,6 @@ fn route(state: &ServiceState, req: &Request) -> Response {
         }
         _ => Response::error(405, &format!("method {} not allowed", req.method)),
     }
-}
-
-/// `GET /events?since=S[&epoch=E][&wait=MS]` — the catalog event
-/// stream. `since` is the subscriber's cursor (the last seq it has
-/// applied; 0 on first contact), `epoch` its idea of the log identity
-/// (omit or 0 on first contact), `wait` an optional long-poll budget in
-/// milliseconds (capped at [`crate::events::MAX_WAIT_MS`]). The
-/// response is an [`crate::events::EventBatch`]: `reset: true` means
-/// the cursor was unserveable and the subscriber must drop derived
-/// state and restart from `head`.
-fn events_feed(state: &ServiceState, req: &Request) -> Response {
-    macro_rules! u64_param {
-        ($name:literal, $default:expr) => {
-            match req.query_param($name) {
-                None => $default,
-                Some(v) => match v.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return Response::error(
-                            400,
-                            concat!("\"", $name, "\" must be a non-negative integer"),
-                        )
-                    }
-                },
-            }
-        };
-    }
-    let since = u64_param!("since", 0);
-    let epoch = u64_param!("epoch", 0);
-    let wait = u64_param!("wait", 0);
-    let log = state.catalog.events();
-    let batch = if wait == 0 {
-        log.since(since, Some(epoch))
-    } else {
-        log.wait_since(since, Some(epoch), Duration::from_millis(wait))
-    };
-    Response::json(200, batch.render())
 }
 
 /// Persists the router-stamped cluster cursor (`x-antruss-cluster-seq`
@@ -566,20 +452,27 @@ fn register_graph(state: &ServiceState, req: &Request) -> Response {
     }
 }
 
-/// Serializes one cache key + body as a dump entry.
-fn dump_entry(key: &CacheKey, body: &str) -> String {
-    format!(
-        "{{\"graph\":{},\"solver\":{},\"b\":{},\"k\":{},\"seed\":{},\"trials\":{},\
-         \"policy\":{},\"body\":{}}}",
-        json::quoted(&key.graph),
-        json::quoted(&key.solver),
-        key.budget,
-        key.k.map_or("null".to_string(), |k| k.to_string()),
-        key.seed,
-        key.trials,
-        json::quoted(key.policy),
-        json::quoted(body),
-    )
+/// Serializes cache keys + bodies as comma-separated dump entries.
+fn render_dump(entries: &[(CacheKey, Arc<String>)]) -> String {
+    let mut out = String::new();
+    for (i, (key, body)) in entries.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&format!(
+            "{{\"graph\":{},\"solver\":{},\"b\":{},\"k\":{},\"seed\":{},\"trials\":{},\
+             \"policy\":{},\"body\":{}}}",
+            json::quoted(&key.graph),
+            json::quoted(&key.solver),
+            key.budget,
+            key.k.map_or("null".to_string(), |k| k.to_string()),
+            key.seed,
+            key.trials,
+            json::quoted(key.policy),
+            json::quoted(body),
+        ));
+    }
+    out
 }
 
 /// `GET /cache/dump[?offset=O&limit=L]` — resident outcomes for replica
@@ -594,18 +487,8 @@ fn dump_entry(key: &CacheKey, body: &str) -> String {
 fn dump_cache(state: &ServiceState, req: &Request) -> Response {
     let entries = state.cache.dump();
     let paged = req.query_param("offset").is_some() || req.query_param("limit").is_some();
-    let render = |slice: &[(CacheKey, Arc<String>)]| {
-        let mut out = String::new();
-        for (i, (key, body)) in slice.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&dump_entry(key, body));
-        }
-        out
-    };
     if !paged {
-        return Response::json(200, format!("[{}]", render(&entries)));
+        return Response::json(200, format!("[{}]", render_dump(&entries)));
     }
     macro_rules! page_param {
         ($name:literal, $default:expr) => {
@@ -632,7 +515,7 @@ fn dump_cache(state: &ServiceState, req: &Request) -> Response {
         format!(
             "{{\"total\":{},\"offset\":{offset},\"entries\":[{}]}}",
             entries.len(),
-            render(&entries[start..end])
+            render_dump(&entries[start..end])
         ),
     )
 }
@@ -766,10 +649,6 @@ fn purge_cache(state: &ServiceState, req: &Request) -> Response {
     if let Err(e) = state.catalog.note_purge(graph) {
         return Response::error(500, &e.to_string());
     }
-    state
-        .metrics
-        .purged_entries
-        .fetch_add(purged as u64, Ordering::Relaxed);
     Response::json(200, format!("{{\"purged\":{purged}}}"))
 }
 
@@ -842,10 +721,6 @@ fn mutate_graph(state: &ServiceState, req: &Request, name: &str) -> Response {
             // head gates out any straggling pre-mutation solve insert
             let purged = state.cache.purge_graph(&key, state.catalog.events().head());
             state.metrics.mutations.fetch_add(1, Ordering::Relaxed);
-            state
-                .metrics
-                .purged_entries
-                .fetch_add(purged as u64, Ordering::Relaxed);
             Response::json(
                 200,
                 format!(
@@ -895,10 +770,6 @@ fn delete_graph(state: &ServiceState, name: &str) -> Response {
         Ok(()) => {
             let key = crate::catalog::canonical_key(name);
             let purged = state.cache.purge_graph(&key, state.catalog.events().head());
-            state
-                .metrics
-                .purged_entries
-                .fetch_add(purged as u64, Ordering::Relaxed);
             Response::json(
                 200,
                 format!("{{\"deleted\":{},\"purged\":{purged}}}", json::quoted(&key)),
@@ -912,97 +783,127 @@ fn delete_graph(state: &ServiceState, name: &str) -> Response {
 }
 
 /// The fields `/solve` accepts; anything else in the body is a 400 (typos
-/// like `"bugdet"` should fail loudly, not silently use a default). Public
-/// so the edge tier derives its cache keys from the identical contract.
-pub const SOLVE_FIELDS: &[&str] = &[
+/// like `"bugdet"` should fail loudly, not silently use a default).
+const SOLVE_FIELDS: &[&str] = &[
     "graph", "solver", "b", "seed", "trials", "threads", "k", "policy",
 ];
 
-fn solve(state: &ServiceState, req: &Request) -> Response {
-    let Some(text) = req.body_utf8() else {
-        return Response::error(400, "body is not UTF-8");
+/// A validated `/solve` body.
+pub struct SolveRequest {
+    /// The outcome's cache identity (canonical graph and solver names).
+    pub key: CacheKey,
+    /// The solver `key.solver` names.
+    pub solver: &'static dyn Solver,
+    /// Requested solver threads (not part of the key: outcomes are
+    /// thread-count-invariant).
+    pub threads: usize,
+    /// The reuse policy `key.policy` names.
+    pub policy: ReusePolicy,
+}
+
+/// Parses and validates one `/solve` body into its cache identity. This
+/// is the one definition of the solve contract: the server answers the
+/// `Err` response, and the edge keys its cache with the same function,
+/// so it keys exactly the identities the upstream would serve and
+/// forwards everything else uncached. The per-server `b` cap is checked
+/// by the caller.
+pub fn parse_solve(body: &[u8]) -> Result<SolveRequest, Response> {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Err(Response::error(400, "body is not UTF-8"));
     };
-    let body = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &e.to_string()),
-    };
+    let body = json::parse(text).map_err(|e| Response::error(400, &e.to_string()))?;
     let Value::Obj(members) = &body else {
-        return Response::error(400, "body must be a JSON object");
+        return Err(Response::error(400, "body must be a JSON object"));
     };
     if let Some(unknown) = members.keys().find(|k| !SOLVE_FIELDS.contains(&k.as_str())) {
-        return Response::error(
+        return Err(Response::error(
             400,
             &format!("unknown field {unknown:?} (expected {SOLVE_FIELDS:?})"),
-        );
+        ));
     }
 
     let Some(graph_spec) = body.get("graph").and_then(Value::as_str) else {
-        return Response::error(400, "missing string field \"graph\"");
+        return Err(Response::error(400, "missing string field \"graph\""));
     };
     let solver_name = match body.get("solver") {
         None => "gas",
-        Some(v) => match v.as_str() {
-            Some(s) => s,
-            None => return Response::error(400, "\"solver\" must be a string"),
-        },
+        Some(v) => v
+            .as_str()
+            .ok_or_else(|| Response::error(400, "\"solver\" must be a string"))?,
     };
     let Some(solver) = registry().get(solver_name) else {
-        return Response::error(
+        return Err(Response::error(
             404,
             &format!(
                 "unknown solver {solver_name:?} (available: {})",
                 registry().names().join(", ")
             ),
-        );
+        ));
+    };
+    let uint_field = |name: &str, default: u64| match body.get(name) {
+        None => Ok(default),
+        Some(v) => v.as_u64().ok_or_else(|| {
+            Response::error(400, &format!("\"{name}\" must be a non-negative integer"))
+        }),
     };
 
-    macro_rules! uint_field {
-        ($name:literal, $default:expr) => {
-            match body.get($name) {
-                None => $default,
-                Some(v) => match v.as_u64() {
-                    Some(n) => n,
-                    None => {
-                        return Response::error(
-                            400,
-                            concat!("\"", $name, "\" must be a non-negative integer"),
-                        )
-                    }
-                },
-            }
-        };
-    }
-
-    let budget = uint_field!("b", 10) as usize;
+    let budget = uint_field("b", 10)? as usize;
     if budget == 0 {
-        return Response::error(400, "\"b\" must be at least 1");
+        return Err(Response::error(400, "\"b\" must be at least 1"));
     }
-    if budget > state.config.max_budget {
-        return Response::error(
-            400,
-            &format!(
-                "\"b\" {budget} exceeds this server's cap of {}",
-                state.config.max_budget
-            ),
-        );
-    }
-    let seed = uint_field!("seed", 1);
-    let trials = uint_field!("trials", 20) as usize;
-    let threads = (uint_field!("threads", 1) as usize).min(state.config.max_solve_threads);
+    let seed = uint_field("seed", 1)?;
+    let trials = uint_field("trials", 20)? as usize;
+    let threads = uint_field("threads", 1)? as usize;
     let k = match body.get("k") {
         None => None,
         Some(v) => match v.as_u64() {
             Some(n) if n <= u32::MAX as u64 => Some(n as u32),
-            _ => return Response::error(400, "\"k\" must be a non-negative integer"),
+            _ => return Err(Response::error(400, "\"k\" must be a non-negative integer")),
         },
     };
     let (policy_name, policy) = match body.get("policy") {
         None => ("paper", ReusePolicy::PaperExact),
-        Some(v) => match v.as_str().and_then(policy_from_str) {
-            Some(p) => p,
-            None => return Response::error(400, "\"policy\" must be paper|conservative|off"),
-        },
+        Some(v) => v
+            .as_str()
+            .and_then(policy_from_str)
+            .ok_or_else(|| Response::error(400, "\"policy\" must be paper|conservative|off"))?,
     };
+    Ok(SolveRequest {
+        key: CacheKey {
+            graph: crate::catalog::canonical_key(graph_spec),
+            solver: solver.name().to_string(),
+            budget,
+            k,
+            seed,
+            trials,
+            policy: policy_name,
+        },
+        solver,
+        threads,
+        policy,
+    })
+}
+
+fn solve(state: &ServiceState, req: &Request) -> Response {
+    let SolveRequest {
+        key,
+        solver,
+        threads,
+        policy,
+    } = match parse_solve(&req.body) {
+        Ok(parsed) => parsed,
+        Err(resp) => return resp,
+    };
+    if key.budget > state.config.max_budget {
+        return Response::error(
+            400,
+            &format!(
+                "\"b\" {} exceeds this server's cap of {}",
+                key.budget, state.config.max_budget
+            ),
+        );
+    }
+    let threads = threads.min(state.config.max_solve_threads);
 
     // the freshness bound for this response: the events head *before*
     // the graph is resolved. If a mutation publishes seq N afterwards,
@@ -1011,19 +912,9 @@ fn solve(state: &ServiceState, req: &Request) -> Response {
     // exactly right, because the edge drops its copies at N.
     let events_head = state.catalog.events().head();
     let events_epoch = state.catalog.events().epoch();
-    let graph = match state.catalog.get(graph_spec) {
+    let graph = match state.catalog.get(&key.graph) {
         Ok(g) => g,
         Err(e) => return Response::error(404, &e.to_string()),
-    };
-
-    let key = CacheKey {
-        graph: crate::catalog::canonical_key(graph_spec),
-        solver: solver.name().to_string(),
-        budget,
-        k,
-        seed,
-        trials,
-        policy: policy_name,
     };
     let lookup_started = Instant::now();
     let lookup_cost = prof::begin_cost();
@@ -1033,23 +924,23 @@ fn solve(state: &ServiceState, req: &Request) -> Response {
     state.metrics.observe_phase(Phase::CacheLookup, lookup);
     trace::note_phase("cache", lookup);
     trace::note_phase_cost("cache", lookup_cpu, lookup_bytes);
-    if let Some((hit, stamp)) = cached {
+    if let Some(hit) = cached {
         state.metrics.solves.fetch_add(1, Ordering::Relaxed);
         // a hit replays the *computing* request's freshness bound, not
         // the current head: the entry may have been inserted by a solve
         // that raced a mutation whose purge has not landed yet
-        return Response::json(200, hit.as_str())
+        return Response::json(200, hit.body.as_str())
             .with_header("x-antruss-cache", "hit")
-            .with_header("x-antruss-events-head", &stamp.to_string())
+            .with_header("x-antruss-events-head", &hit.stamp.to_string())
             .with_header("x-antruss-events-epoch", &events_epoch.to_string());
     }
 
-    let mut cfg = RunConfig::new(budget)
+    let mut cfg = RunConfig::new(key.budget)
         .threads(threads.max(1))
-        .seed(seed)
-        .trials(trials)
+        .seed(key.seed)
+        .trials(key.trials)
         .reuse(policy);
-    if let Some(k) = k {
+    if let Some(k) = key.k {
         cfg = cfg.k(k);
     }
     if state.config.exact_cap > 0 {
@@ -1098,7 +989,7 @@ fn solve(state: &ServiceState, req: &Request) -> Response {
                 .with_header("x-antruss-events-head", &events_head.to_string())
                 .with_header("x-antruss-events-epoch", &events_epoch.to_string())
         }
-        Err(e) => Response::error(400, &format!("{solver_name}: {e}")),
+        Err(e) => Response::error(400, &format!("{}: {e}", solver.name())),
     }
 }
 
@@ -1219,31 +1110,6 @@ pub struct Server {
     started: Instant,
 }
 
-/// Spawns the history sampler: every `interval_ms` it records the
-/// tier's full registry into `recorder`-backed history (via `record`,
-/// which receives the wall-clock timestamp). Sub-sleeps so shutdown
-/// (polled via `is_shutdown`) is prompt. Shared by all three tiers.
-pub fn spawn_history_sampler(
-    name: &'static str,
-    interval_ms: u64,
-    is_shutdown: Arc<dyn Fn() -> bool + Send + Sync>,
-    record: Arc<dyn Fn(f64) + Send + Sync>,
-) -> JoinHandle<()> {
-    prof::spawn(&format!("{name}-sampler"), "sampler", move || {
-        let interval = Duration::from_millis(interval_ms.max(1));
-        let step = Duration::from_millis(interval_ms.clamp(1, 25));
-        let mut next = Instant::now() + interval;
-        while !is_shutdown() {
-            thread::sleep(step);
-            if Instant::now() >= next {
-                record(epoch_now());
-                next = Instant::now() + interval;
-            }
-        }
-    })
-    .expect("spawn history sampler")
-}
-
 impl Server {
     /// Binds and starts accepting; returns once the listener is live
     /// (and, with a `data_dir`, once the catalog has recovered from
@@ -1261,18 +1127,7 @@ impl Server {
             Arc::new(move || shutdown_state.shutdown.load(Ordering::SeqCst)),
             Arc::new(move |stream, accepted| serve_connection(&conn_state, stream, accepted)),
         )?;
-        let sampler = if state.config.metrics_interval_ms > 0 {
-            let sample_state = Arc::clone(&state);
-            let stop_state = Arc::clone(&state);
-            Some(spawn_history_sampler(
-                "antruss",
-                state.config.metrics_interval_ms,
-                Arc::new(move || stop_state.shutdown.load(Ordering::SeqCst)),
-                Arc::new(move |ts| sample_state.record_history(ts)),
-            ))
-        } else {
-            None
-        };
+        let sampler = tier::spawn_sampler(&state, state.config.metrics_interval_ms);
         Ok(Server {
             state,
             pool,
@@ -1301,15 +1156,7 @@ impl Server {
         // restart; a crash simply skips this and the cache re-warms
         // from peers or recomputes
         if let Some(store) = &self.state.store {
-            let entries = self.state.cache.dump();
-            let mut dump = String::from("[");
-            for (i, (key, body)) in entries.iter().enumerate() {
-                if i > 0 {
-                    dump.push(',');
-                }
-                dump.push_str(&dump_entry(key, body));
-            }
-            dump.push(']');
+            let dump = format!("[{}]", render_dump(&self.state.cache.dump()));
             if let Err(e) = store.persist_cache(&dump) {
                 obs::warn!("store", "could not persist the outcome cache: {e}");
             }
@@ -1358,7 +1205,7 @@ impl Drop for Server {
 /// to stderr otherwise, so the last state of a stopping process is
 /// never lost with it.
 fn drain_snapshot(state: &ServiceState) {
-    let metrics = state.build_registry().render();
+    let metrics = tier::registry(state).render();
     let profile = prof::debug_json("server");
     if let Some(dir) = &state.config.data_dir {
         let dir = std::path::Path::new(dir);
@@ -1632,7 +1479,7 @@ mod tests {
     #[test]
     fn slo_objectives_flow_into_healthz_and_metrics() {
         let config = ServerConfig {
-            slos: slo::parse_slos("availability=99.0,p99_ms=5").unwrap(),
+            slos: antruss_obs::slo::parse_slos("availability=99.0,p99_ms=5").unwrap(),
             ..ServerConfig::default()
         };
         let st = ServiceState::new(config);
@@ -1744,6 +1591,70 @@ mod tests {
             "spelling variants must canonicalize to one cache key"
         );
         assert_eq!(st.catalog.len(), 1, "and to one resident graph");
+    }
+
+    fn solve_key(body: &str) -> Option<CacheKey> {
+        parse_solve(body.as_bytes()).ok().map(|s| s.key)
+    }
+
+    #[test]
+    fn solve_key_defaults_match_explicit_spellings() {
+        let implicit = solve_key(r#"{"graph":"tri"}"#).unwrap();
+        let explicit = solve_key(
+            r#"{"graph":" Tri ","solver":"gas","b":10,"seed":1,"trials":20,"policy":"paper"}"#,
+        )
+        .unwrap();
+        assert_eq!(implicit, explicit);
+        assert_eq!(implicit.graph, "tri");
+    }
+
+    #[test]
+    fn solve_key_folds_solver_case_and_ignores_threads() {
+        let a = solve_key(r#"{"graph":"g","threads":1}"#).unwrap();
+        let b = solve_key(r#"{"graph":"g","threads":8}"#).unwrap();
+        assert_eq!(a, b);
+        // one solve identity, one key: the registry lookup is
+        // case-insensitive and the key holds its canonical name
+        let upper = solve_key(r#"{"graph":"g","solver":"GAS"}"#).unwrap();
+        assert_eq!(upper, a);
+        assert_eq!(upper.solver, "gas");
+    }
+
+    #[test]
+    fn distinct_solve_identities_get_distinct_keys() {
+        let base = solve_key(r#"{"graph":"g","b":2}"#).unwrap();
+        for other in [
+            r#"{"graph":"h","b":2}"#,
+            r#"{"graph":"g","b":3}"#,
+            r#"{"graph":"g","b":2,"solver":"lazy"}"#,
+            r#"{"graph":"g","b":2,"seed":9}"#,
+            r#"{"graph":"g","b":2,"trials":5}"#,
+            r#"{"graph":"g","b":2,"k":4}"#,
+            r#"{"graph":"g","b":2,"policy":"off"}"#,
+        ] {
+            assert_ne!(solve_key(other).unwrap(), base, "{other}");
+        }
+    }
+
+    #[test]
+    fn solve_bodies_the_server_rejects_are_not_keyed() {
+        for bad in [
+            "not json",
+            "[1,2]",
+            r#"{"solver":"gas"}"#,                 // missing graph
+            r#"{"graph":"g","bugdet":3}"#,         // unknown field
+            r#"{"graph":"g","b":0}"#,              // zero budget
+            r#"{"graph":"g","b":-1}"#,             // negative
+            r#"{"graph":"g","seed":"one"}"#,       // wrong type
+            r#"{"graph":"g","k":null}"#,           // null k is a 400
+            r#"{"graph":"g","k":99999999999999}"#, // k beyond u32
+            r#"{"graph":"g","threads":"many"}"#,   // mistyped threads
+            r#"{"graph":"g","policy":"fast"}"#,    // unknown policy
+            r#"{"graph":"g","solver":"nope"}"#,    // unknown solver
+            r#"{"graph":123}"#,                    // wrong type
+        ] {
+            assert!(solve_key(bad).is_none(), "{bad}");
+        }
     }
 
     #[test]
@@ -2019,7 +1930,7 @@ mod tests {
         assert!(body_str(&handle(&st, &purge_a)).contains("\"purged\":1"));
         assert!(body_str(&handle(&st, &post("/cache/purge", ""))).contains("\"purged\":1"));
         assert_eq!(st.cache.stats().entries, 0);
-        assert_eq!(st.metrics.purged_entries.load(Ordering::Relaxed), 2);
+        assert_eq!(st.cache.stats().purged, 2);
     }
 
     #[test]
