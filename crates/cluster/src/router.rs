@@ -43,11 +43,11 @@
 //!   big cache is never buffered whole on the router).
 
 use std::collections::BTreeMap;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use antruss_core::json::{self, Value};
@@ -57,11 +57,10 @@ use antruss_obs::trace;
 use antruss_obs::{Histogram, Recorder, Registry, SlowTraces};
 use antruss_service::events::random_epoch;
 use antruss_service::http::{encode_component, Request, Response};
-use antruss_service::server::{
-    epoch_now, resolve_threads, run_connection, sigint_received, subresource, AcceptPool,
-};
-use antruss_service::tier::{self, Tier, SLOW_TRACE_CAP};
-use antruss_service::{canonical_key, Client, ClientResponse, Event, EventKind, EventLog};
+use antruss_service::metrics::{Phase, Phases};
+use antruss_service::server::{epoch_now, subresource};
+use antruss_service::tier::{self, relay, Front, Tier, SLOW_TRACE_CAP};
+use antruss_service::{canonical_key, Client, ClientResponse, Event, EventKind, EventLog, Pool};
 use antruss_store::store::{read_events_meta, write_events_meta};
 use antruss_store::OpLog;
 use bytes::Bytes;
@@ -138,23 +137,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// Idle keep-alive connections kept per backend. Workers check one out
-/// per forward and return it on success, so the hot path pays no TCP
-/// handshake (and no accept-poll latency on the backend side). Kept
-/// deliberately small: a backend worker is dedicated to a connection
-/// for as long as it stays open, so every *idle* pooled connection pins
-/// a backend worker until the backend's idle deadline reaps it —
-/// over-pooling would starve small worker pools outright.
-const POOL_PER_BACKEND: usize = 4;
-
-/// Pooled connections idle longer than this are dropped at checkout
-/// instead of reused. Closing them promptly releases the backend worker
-/// each open connection pins, long before the backend's own 30 s idle
-/// deadline would — without this, a burst that opens more connections
-/// to a backend than it has workers can leave a later request queued
-/// behind an *idle* connection for the full deadline.
-const POOL_IDLE_MAX: Duration = Duration::from_secs(2);
-
 /// `/cache/dump` page size during warm-up replay: peers are drained
 /// `offset`/`limit` page by page, so the router holds at most one page
 /// of a peer's cache in memory instead of the whole dump.
@@ -175,9 +157,8 @@ pub struct BackendState {
     pub failovers: AtomicU64,
     /// Cache entries pushed into this backend by warm-up.
     pub warmed: AtomicU64,
-    /// Idle keep-alive connections (checked out per forward), newest
-    /// last, each stamped with when it went idle.
-    pool: Mutex<Vec<(Client, Instant)>>,
+    /// Keep-alive connections for forwards.
+    pool: Pool,
 }
 
 impl BackendState {
@@ -189,26 +170,7 @@ impl BackendState {
             forwarded: AtomicU64::new(0),
             failovers: AtomicU64::new(0),
             warmed: AtomicU64::new(0),
-            pool: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn checkout(&self) -> Client {
-        let mut pool = self.pool.lock().unwrap();
-        // retire EVERY over-age connection, not just the newest —
-        // entries at the bottom of this LIFO would otherwise sit idle
-        // forever, pinning a backend worker each (the pool holds at
-        // most POOL_PER_BACKEND entries, so the sweep is trivial)
-        pool.retain(|(_, idle_since)| idle_since.elapsed() < POOL_IDLE_MAX);
-        pool.pop()
-            .map(|(client, _)| client)
-            .unwrap_or_else(|| Client::new(self.addr))
-    }
-
-    fn checkin(&self, client: Client) {
-        let mut pool = self.pool.lock().unwrap();
-        if pool.len() < POOL_PER_BACKEND {
-            pool.push((client, Instant::now()));
+            pool: Pool::new(addr),
         }
     }
 }
@@ -237,17 +199,17 @@ impl RouterView {
     }
 }
 
-/// The phases the router attributes request latency to, in the index
-/// order of [`RouterState::phase_hists`]: time queued behind the worker
-/// pool (first request of a connection only), idle keep-alive wait,
-/// request parse, downstream forwards (single-backend and fan-out
-/// alike), and the response write.
-const ROUTER_PHASES: [&str; 5] = ["queue_wait", "accept_wait", "parse", "forward", "write"];
-const PH_QUEUE_WAIT: usize = 0;
-const PH_ACCEPT_WAIT: usize = 1;
-const PH_PARSE: usize = 2;
-const PH_FORWARD: usize = 3;
-const PH_WRITE: usize = 4;
+/// The phases the router records, in exposition order: time queued
+/// behind the worker pool, idle keep-alive wait, request parse,
+/// downstream forwards (single-backend and fan-out alike), and the
+/// response write.
+const ROUTER_PHASES: [Phase; 5] = [
+    Phase::QueueWait,
+    Phase::AcceptWait,
+    Phase::Parse,
+    Phase::Forward,
+    Phase::Write,
+];
 
 /// What the health tick learned about one member the last time it
 /// visited: readiness, SLO status, and the key series `GET
@@ -328,8 +290,8 @@ pub struct RouterState {
     pub shutdown: AtomicBool,
     /// End-to-end latency of every routed request.
     pub request_hist: Histogram,
-    /// Per-phase latency, indexed by [`ROUTER_PHASES`].
-    phase_hists: [Histogram; ROUTER_PHASES.len()],
+    /// Per-phase latency (the [`ROUTER_PHASES`] are exported).
+    phases: Phases,
     /// The slowest request timelines this router originated, served at
     /// `GET /debug/traces` and dumped on SIGINT drain.
     pub traces: SlowTraces,
@@ -451,7 +413,7 @@ impl RouterState {
             evictions: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             request_hist: Histogram::new(),
-            phase_hists: std::array::from_fn(|_| Histogram::new()),
+            phases: Phases::default(),
             traces: SlowTraces::new(SLOW_TRACE_CAP),
             recorder: Recorder::new(config.metrics_interval_ms as f64 / 1000.0),
             overview: Mutex::new(BTreeMap::new()),
@@ -545,12 +507,6 @@ impl RouterState {
         self.view().placement(graph, self.config.replication)
     }
 
-    /// Records `took` against the phase histogram at `idx` (one of the
-    /// `PH_*` indices into [`ROUTER_PHASES`]).
-    fn observe_phase(&self, idx: usize, took: Duration) {
-        self.phase_hists[idx].observe(took);
-    }
-
     /// Samples the router's registry into the history ring at unix
     /// second `ts` (the sampler thread passes the wall clock; tests
     /// pass synthetic trajectories).
@@ -580,12 +536,16 @@ impl Tier for RouterState {
         &self.recorder
     }
 
+    fn phases(&self) -> &Phases {
+        &self.phases
+    }
+
     fn events(&self) -> &EventLog {
         &self.events
     }
 
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    fn draining(&self) -> &AtomicBool {
+        &self.shutdown
     }
 
     fn objectives(&self) -> &[Objective] {
@@ -615,10 +575,7 @@ impl Tier for RouterState {
     }
 }
 
-/// One forwarded exchange with a backend over a pooled keep-alive
-/// connection. The connection returns to the pool on success and is
-/// dropped on failure; the client's built-in single retry covers the
-/// idle-close race (a pooled connection the backend reaped mid-idle).
+/// One forwarded exchange with a backend over its connection pool.
 /// Forwards issued on a request worker thread carry the request's trace
 /// context downstream; background forwards (health probes, warm-up)
 /// have no context and go out bare.
@@ -628,40 +585,8 @@ fn forward(
     path: &str,
     body: Option<&[u8]>,
 ) -> std::io::Result<ClientResponse> {
-    let trace_headers: Vec<(String, String)> = match trace::current() {
-        Some(ctx) => ctx.headers().to_vec(),
-        None => Vec::new(),
-    };
-    forward_with_headers(backend, method, path, body, &trace_headers)
-}
-
-/// Like [`forward`], with extra request headers riding along — the
-/// fan-out path uses this to stamp every cluster write with the
-/// router's event cursor (`x-antruss-cluster-seq`/`-epoch`), which the
-/// backend persists so a restart can advertise how far through the
-/// cluster history its durable state already is.
-fn forward_with_headers(
-    backend: &BackendState,
-    method: &str,
-    path: &str,
-    body: Option<&[u8]>,
-    headers: &[(String, String)],
-) -> std::io::Result<ClientResponse> {
-    let mut client = backend.checkout();
-    let result = match (method, body) {
-        ("GET", _) => client.get_with_headers(path, headers),
-        ("DELETE", _) => client.delete_with_headers(path, headers),
-        ("POST", Some(b)) => client.post_with_headers(path, "application/json", b, headers),
-        ("POST", None) => client.post_with_headers(path, "application/json", b"", headers),
-        _ => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("router cannot forward method {method}"),
-        )),
-    };
-    if result.is_ok() {
-        backend.checkin(client);
-    }
-    result
+    let trace_headers = trace::current().map_or_else(Vec::new, |ctx| ctx.headers().to_vec());
+    backend.pool.send(method, path, body, &trace_headers)
 }
 
 /// The cursor headers riding every fanned-out cluster write. The seq is
@@ -705,31 +630,15 @@ fn scatter<R: Send>(n: usize, op: impl Fn(usize) -> R + Send + Sync) -> Vec<R> {
     out.into_iter().map(|r| r.unwrap()).collect()
 }
 
-/// Converts a backend reply into a router reply, tagging the ring id of
-/// the member that answered and preserving the cache-disposition and
-/// trace-hops headers (the router's own hop is appended in [`handle`]).
-fn relay(resp: &ClientResponse, ring_id: u32) -> Response {
-    let content_type = resp.header("content-type").unwrap_or("application/json");
-    let mut out = if content_type.starts_with("text/plain") {
-        Response::text(resp.status, resp.body.clone())
-    } else {
-        Response::json(resp.status, resp.body.clone())
-    };
-    if let Some(v) = resp.header("x-antruss-cache") {
-        out = out.with_header("x-antruss-cache", v);
-    }
-    if let Some(v) = resp.header(trace::HOPS_HEADER) {
-        out = out.with_header(trace::HOPS_HEADER, v);
-    }
-    if let Some(v) = resp.header(prof::COST_HEADER) {
-        out = out.with_header(prof::COST_HEADER, v);
-    }
-    out.with_header("x-antruss-shard", &ring_id.to_string())
+/// Relays a backend reply, tagged with the ring id of the member that
+/// answered.
+fn relay_from(resp: &ClientResponse, ring_id: u32) -> Response {
+    relay(resp).set_header("x-antruss-shard", &ring_id.to_string())
 }
 
 /// Routes one parsed request through the tier middleware
 /// ([`tier::handle`]), which appends the router's hop record after
-/// whatever hops the backend echoed back through [`relay`].
+/// whatever hops the backend echoed back through [`relay_from`].
 pub fn handle(state: &RouterState, req: &Request) -> Response {
     tier::handle(state, req)
 }
@@ -1000,19 +909,9 @@ fn families(state: &RouterState) -> Registry {
     let request = state.request_hist.snapshot();
     reg.histogram("antruss_router_request_seconds", &[], &request);
     reg.quantiles("antruss_router_request_quantile_seconds", &[], &request);
-    for (i, label) in ROUTER_PHASES.iter().enumerate() {
-        let snap = state.phase_hists[i].snapshot();
-        reg.histogram(
-            "antruss_router_request_phase_seconds",
-            &[("phase", label)],
-            &snap,
-        );
-        reg.quantiles(
-            "antruss_router_request_phase_quantile_seconds",
-            &[("phase", label)],
-            &snap,
-        );
-    }
+    state
+        .phases
+        .register(&mut reg, "antruss_router_request_phase", &ROUTER_PHASES);
     reg
 }
 
@@ -1387,7 +1286,7 @@ fn try_in_order(
             let attempt = Instant::now();
             let result = forward(b, method, path, body);
             let took = attempt.elapsed();
-            state.observe_phase(PH_FORWARD, took);
+            state.phases.observe(Phase::Forward, took);
             trace::note_phase("forward", took);
             match result {
                 Ok(resp) => {
@@ -1399,7 +1298,7 @@ fn try_in_order(
                     if skipped_any {
                         state.failovers.fetch_add(1, Ordering::Relaxed);
                     }
-                    return relay(&resp, b.ring_id);
+                    return relay_from(&resp, b.ring_id);
                 }
                 Err(_) => {
                     b.healthy.store(false, Ordering::Relaxed);
@@ -1443,9 +1342,10 @@ fn route_solve(state: &RouterState, req: &Request) -> Response {
     // retains a body that predates a completed cluster write.
     let events_head = state.events.head();
     let events_epoch = state.events.epoch();
+    // replace the backend's own stamps: an edge gates on the first one
     try_in_order(state, &view, &order, "POST", "/solve", Some(&req.body))
-        .with_header("x-antruss-events-head", &events_head.to_string())
-        .with_header("x-antruss-events-epoch", &events_epoch.to_string())
+        .set_header("x-antruss-events-head", &events_head.to_string())
+        .set_header("x-antruss-events-epoch", &events_epoch.to_string())
 }
 
 /// Publishes one cluster event and (with a data dir) persists the
@@ -1590,7 +1490,7 @@ fn fan_out(
     let started = Instant::now();
     let results: Vec<Option<ClientResponse>> = scatter(order.len(), |j| {
         let b = &view.backends[order[j]];
-        match forward_with_headers(b, method, path, body, headers) {
+        match b.pool.send(method, path, body, headers) {
             Ok(resp) => {
                 b.forwarded.fetch_add(1, Ordering::Relaxed);
                 Some(resp)
@@ -1621,7 +1521,7 @@ fn fan_out(
         }
     }
     let took = started.elapsed();
-    state.observe_phase(PH_FORWARD, took);
+    state.phases.observe(Phase::Forward, took);
     trace::note_phase("fanout", took);
     match best {
         Some((ring_id, resp)) => {
@@ -1630,7 +1530,7 @@ fn fan_out(
                 .map(|(i, s)| format!("{i}:{s}"))
                 .collect::<Vec<_>>()
                 .join(",");
-            relay(resp, ring_id).with_header("x-antruss-replicas", &detail)
+            relay_from(resp, ring_id).with_header("x-antruss-replicas", &detail)
         }
         None => Response::error(
             502,
@@ -1651,17 +1551,14 @@ fn merged_graphs(state: &RouterState) -> Response {
     let view = state.view();
     // as in fan_out: the trace context must be captured before the
     // scatter threads, which cannot see this request's thread-local
-    let trace_headers: Vec<(String, String)> = match trace::current() {
-        Some(ctx) => ctx.headers().to_vec(),
-        None => Vec::new(),
-    };
+    let trace_headers = trace::current().map_or_else(Vec::new, |ctx| ctx.headers().to_vec());
     let started = Instant::now();
     let listings: Vec<Option<String>> = scatter(view.backends.len(), |i| {
         let b = &view.backends[i];
         if !b.healthy.load(Ordering::Relaxed) {
             return None;
         }
-        match forward_with_headers(b, "GET", "/graphs", None, &trace_headers) {
+        match b.pool.send("GET", "/graphs", None, &trace_headers) {
             Ok(resp) => Some(resp.body_string()),
             Err(_) => {
                 b.healthy.store(false, Ordering::Relaxed);
@@ -1670,7 +1567,7 @@ fn merged_graphs(state: &RouterState) -> Response {
         }
     });
     let took = started.elapsed();
-    state.observe_phase(PH_FORWARD, took);
+    state.phases.observe(Phase::Forward, took);
     trace::note_phase("fanout", took);
     let mut by_name: std::collections::BTreeMap<String, String> = std::collections::BTreeMap::new();
     let mut datasets: Option<String> = None;
@@ -2435,10 +2332,7 @@ fn health_loop(state: &RouterState, interval: Duration) {
 
 /// A running router; dropping it shuts it down and joins every thread.
 pub struct Router {
-    state: Arc<RouterState>,
-    pool: AcceptPool,
-    health: Option<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
+    front: Front<RouterState>,
     started: Instant,
 }
 
@@ -2456,66 +2350,36 @@ impl Router {
     /// Like [`Router::start`], but over a pre-built state (the test
     /// harness builds one with an injected [`crate::membership::ManualClock`]).
     pub fn start_with_state(state: RouterState) -> std::io::Result<Router> {
-        let threads = resolve_threads(state.config.threads);
         let state = Arc::new(state);
-        let shutdown_state = Arc::clone(&state);
-        let conn_state = Arc::clone(&state);
-        let pool = AcceptPool::start(
-            &state.config.addr,
-            threads,
-            "antruss-router",
-            Arc::new(move || shutdown_state.shutdown.load(Ordering::SeqCst)),
-            Arc::new(move |stream: TcpStream, accepted: Instant| {
-                // the queue wait is a property of the connection's first
-                // request only; keep-alive follow-ups were never queued
-                let mut queued = Some(accepted.elapsed());
-                run_connection(
-                    stream,
-                    conn_state.config.max_body_bytes,
-                    &conn_state.shutdown,
-                    &mut |req, phases| {
-                        if let Some(q) = queued.take() {
-                            conn_state.observe_phase(PH_QUEUE_WAIT, q);
-                        }
-                        conn_state.observe_phase(PH_ACCEPT_WAIT, phases.wait);
-                        conn_state.observe_phase(PH_PARSE, phases.parse);
-                        handle(&conn_state, req)
-                    },
-                    &mut |_req, took| conn_state.observe_phase(PH_WRITE, took),
-                    &mut || {
-                        conn_state.requests.fetch_add(1, Ordering::Relaxed);
-                        conn_state.errors.fetch_add(1, Ordering::Relaxed);
-                    },
-                );
-            }),
+        let config = &state.config;
+        let mut front = Front::start(
+            Arc::clone(&state),
+            &config.addr,
+            config.threads,
+            config.max_body_bytes,
+            config.metrics_interval_ms,
         )?;
-        let health = if state.config.health_interval_ms > 0 {
+        if config.health_interval_ms > 0 {
             let health_state = Arc::clone(&state);
-            let interval = Duration::from_millis(state.config.health_interval_ms);
-            Some(prof::spawn("antruss-router-health", "health", move || {
+            let interval = Duration::from_millis(config.health_interval_ms);
+            front.keep(prof::spawn("antruss-router-health", "health", move || {
                 health_loop(&health_state, interval)
-            })?)
-        } else {
-            None
-        };
-        let sampler = tier::spawn_sampler(&state, state.config.metrics_interval_ms);
+            })?);
+        }
         Ok(Router {
-            state,
-            pool,
-            health,
-            sampler,
+            front,
             started: Instant::now(),
         })
     }
 
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.pool.addr()
+        self.front.addr()
     }
 
     /// The shared state (handy for in-process inspection in tests).
     pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
+        self.front.tier()
     }
 
     /// Runs one supervision pass (health + heartbeat evictions) on the
@@ -2523,55 +2387,25 @@ impl Router {
     /// *only* driver of evictions, which makes membership sequences
     /// fully deterministic under the test harness's manual clock.
     pub fn tick(&self) {
-        tick_state(&self.state);
-    }
-
-    fn stop(&mut self) -> String {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.pool.join();
-        if let Some(h) = self.health.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.sampler.take() {
-            let _ = h.join();
-        }
-        if sigint_received() {
-            // the router keeps no data dir: the drain snapshot goes to
-            // stderr, mirroring the backend's --data-dir-less path
-            eprintln!(
-                "--- final metrics snapshot ---\n{}",
-                tier::registry(&*self.state).render()
-            );
-            if !self.state.traces.is_empty() {
-                eprintln!(
-                    "--- slowest traces ---\n{}",
-                    self.state.traces.render_text()
-                );
-            }
-        }
-        format!(
-            "routed {} request(s) ({} failover(s), {} error(s)) across {} backend(s) \
-             ({} join(s), {} eviction(s)) in {:.1}s",
-            self.state.requests.load(Ordering::Relaxed),
-            self.state.failovers.load(Ordering::Relaxed),
-            self.state.errors.load(Ordering::Relaxed),
-            self.state.view().backends.len(),
-            self.state.joins.load(Ordering::Relaxed),
-            self.state.evictions.load(Ordering::Relaxed),
-            self.started.elapsed().as_secs_f64()
-        )
+        tick_state(self.state());
     }
 
     /// Stops accepting, drains in-flight work, joins every thread and
     /// reports totals.
     pub fn shutdown(mut self) -> String {
-        self.stop()
-    }
-}
-
-impl Drop for Router {
-    fn drop(&mut self) {
-        let _ = self.stop();
+        self.front.stop();
+        let state = self.state();
+        format!(
+            "routed {} request(s) ({} failover(s), {} error(s)) across {} backend(s) \
+             ({} join(s), {} eviction(s)) in {:.1}s",
+            state.requests.load(Ordering::Relaxed),
+            state.failovers.load(Ordering::Relaxed),
+            state.errors.load(Ordering::Relaxed),
+            state.view().backends.len(),
+            state.joins.load(Ordering::Relaxed),
+            state.evictions.load(Ordering::Relaxed),
+            self.started.elapsed().as_secs_f64()
+        )
     }
 }
 

@@ -8,7 +8,8 @@ use std::net::SocketAddr;
 use std::thread;
 use std::time::Duration;
 
-use antruss_service::server::{install_sigint_handler, resolve_threads, sigint_received};
+use antruss_service::server::{install_sigint_handler, sigint_received};
+use antruss_service::tier::resolve_threads;
 use antruss_service::{Server, ServerConfig};
 
 use crate::ring::DEFAULT_VNODES;

@@ -22,7 +22,6 @@ use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use antruss_core::json;
@@ -31,11 +30,10 @@ use antruss_obs::slo::{Objective, SloSources};
 use antruss_obs::trace;
 use antruss_obs::{Histogram, Recorder, Registry, SlowTraces};
 use antruss_service::http::{encode_component, Request, Response};
-use antruss_service::server::{
-    resolve_threads, run_connection, sigint_received, subresource, AcceptPool,
-};
-use antruss_service::tier::{self, Tier, SLOW_TRACE_CAP};
-use antruss_service::{parse_solve, Client, ClientResponse, EventLog, OutcomeCache};
+use antruss_service::metrics::{Phase, Phases};
+use antruss_service::server::subresource;
+use antruss_service::tier::{self, relay, Front, Tier, SLOW_TRACE_CAP};
+use antruss_service::{parse_solve, ClientResponse, EventLog, OutcomeCache, Pool};
 
 mod sync;
 
@@ -107,24 +105,17 @@ pub struct EdgeMetrics {
     pub stale_serves: AtomicU64,
 }
 
-/// The phases the edge attributes request latency to, in the index
-/// order of [`EdgeState::phase_hists`]: time queued behind the worker
-/// pool (first request of a connection only), idle keep-alive wait,
-/// request parse, local cache lookup, upstream forward, response write.
-const EDGE_PHASES: [&str; 6] = [
-    "queue_wait",
-    "accept_wait",
-    "parse",
-    "cache_lookup",
-    "forward",
-    "write",
+/// The phases the edge records, in exposition order: time queued
+/// behind the worker pool, idle keep-alive wait, request parse, local
+/// cache lookup, upstream forward, response write.
+const EDGE_PHASES: [Phase; 6] = [
+    Phase::QueueWait,
+    Phase::AcceptWait,
+    Phase::Parse,
+    Phase::CacheLookup,
+    Phase::Forward,
+    Phase::Write,
 ];
-const PH_QUEUE_WAIT: usize = 0;
-const PH_ACCEPT_WAIT: usize = 1;
-const PH_PARSE: usize = 2;
-const PH_CACHE_LOOKUP: usize = 3;
-const PH_FORWARD: usize = 4;
-const PH_WRITE: usize = 5;
 
 /// Shared state behind every edge connection and the subscriber.
 pub struct EdgeState {
@@ -145,10 +136,12 @@ pub struct EdgeState {
     /// Last-known-good listing bodies (`/graphs`, `/solvers`) for
     /// offline fallback.
     listing: Mutex<HashMap<&'static str, Arc<String>>>,
-    clients: Mutex<Vec<Client>>,
+    /// Keep-alive connections to the upstream.
+    pool: Pool,
     /// End-to-end latency of every edge request.
     pub request_hist: Histogram,
-    phase_hists: [Histogram; EDGE_PHASES.len()],
+    /// Per-phase latency (the [`EDGE_PHASES`] are exported).
+    phases: Phases,
     /// The slowest request timelines this edge originated (usually the
     /// full edge→router→backend chain), served at `GET /debug/traces`
     /// and dumped on SIGINT drain.
@@ -175,9 +168,9 @@ impl EdgeState {
             last_contact: Mutex::new(Instant::now()),
             last_upstream_head: AtomicU64::new(0),
             listing: Mutex::new(HashMap::new()),
-            clients: Mutex::new(Vec::new()),
+            pool: Pool::new(upstream),
             request_hist: Histogram::new(),
-            phase_hists: std::array::from_fn(|_| Histogram::new()),
+            phases: Phases::default(),
             traces: SlowTraces::new(SLOW_TRACE_CAP),
             recorder: Recorder::new(config.metrics_interval_ms as f64 / 1000.0),
             shutdown: AtomicBool::new(false),
@@ -215,12 +208,6 @@ impl EdgeState {
         self.last_contact.lock().unwrap().elapsed().as_secs()
     }
 
-    /// Records `took` against the phase histogram at `idx` (one of the
-    /// `PH_*` indices into [`EDGE_PHASES`]).
-    fn observe_phase(&self, idx: usize, took: Duration) {
-        self.phase_hists[idx].observe(took);
-    }
-
     /// Samples the edge's registry into the history ring at unix second
     /// `ts` (the sampler thread passes the wall clock; tests pass
     /// synthetic trajectories).
@@ -233,35 +220,16 @@ impl EdgeState {
     /// request's trace context (if any) rides along, so a miss
     /// forwarded through router to backend comes back with the full
     /// hop chain.
-    fn forward(
-        &self,
-        method: &str,
-        path: &str,
-        body: Option<(&str, &[u8])>,
-    ) -> io::Result<ClientResponse> {
-        let headers: Vec<(String, String)> = match trace::current() {
-            Some(ctx) => ctx.headers().to_vec(),
-            None => Vec::new(),
-        };
-        let mut client = self
-            .clients
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_else(|| Client::new(self.upstream));
+    fn forward(&self, method: &str, path: &str, body: Option<&[u8]>) -> io::Result<ClientResponse> {
+        let headers = trace::current().map_or_else(Vec::new, |ctx| ctx.headers().to_vec());
         let started = Instant::now();
-        let result = match body {
-            Some((ct, b)) if method == "POST" => client.post_with_headers(path, ct, b, &headers),
-            _ if method == "DELETE" => client.delete_with_headers(path, &headers),
-            _ => client.get_with_headers(path, &headers),
-        };
+        let result = self.pool.send(method, path, body, &headers);
         let took = started.elapsed();
-        self.observe_phase(PH_FORWARD, took);
+        self.phases.observe(Phase::Forward, took);
         trace::note_phase("forward", took);
         match result {
             Ok(resp) => {
                 self.mark_contact();
-                self.clients.lock().unwrap().push(client);
                 self.metrics.forwarded.fetch_add(1, Ordering::Relaxed);
                 Ok(resp)
             }
@@ -293,25 +261,6 @@ fn forward_target(req: &Request) -> String {
     target
 }
 
-/// Rebuilds a local [`Response`] from an upstream reply, preserving
-/// the status, the content type and every `x-antruss-*` header.
-fn relay(up: ClientResponse) -> Response {
-    let text_plain = up
-        .header("content-type")
-        .is_some_and(|ct| ct.starts_with("text/plain"));
-    let mut resp = if text_plain {
-        Response::text(up.status, up.body.clone())
-    } else {
-        Response::json(up.status, up.body.clone())
-    };
-    for (name, value) in &up.headers {
-        if name.starts_with("x-antruss-") {
-            resp = resp.with_header(name, value);
-        }
-    }
-    resp
-}
-
 impl Tier for EdgeState {
     const NAME: &'static str = "edge";
 
@@ -333,8 +282,12 @@ impl Tier for EdgeState {
         &self.mirror
     }
 
-    fn draining(&self) -> bool {
-        self.is_shutdown()
+    fn phases(&self) -> &Phases {
+        &self.phases
+    }
+
+    fn draining(&self) -> &AtomicBool {
+        &self.shutdown
     }
 
     fn objectives(&self) -> &[Objective] {
@@ -476,19 +429,9 @@ fn families(state: &EdgeState) -> Registry {
     let request = state.request_hist.snapshot();
     reg.histogram("antruss_edge_request_seconds", &[], &request);
     reg.quantiles("antruss_edge_request_quantile_seconds", &[], &request);
-    for (i, label) in EDGE_PHASES.iter().enumerate() {
-        let snap = state.phase_hists[i].snapshot();
-        reg.histogram(
-            "antruss_edge_request_phase_seconds",
-            &[("phase", label)],
-            &snap,
-        );
-        reg.quantiles(
-            "antruss_edge_request_phase_quantile_seconds",
-            &[("phase", label)],
-            &snap,
-        );
-    }
+    state
+        .phases
+        .register(&mut reg, "antruss_edge_request_phase", &EDGE_PHASES);
     reg
 }
 
@@ -514,7 +457,7 @@ fn solve(state: &EdgeState, req: &Request) -> Response {
         let lookup = Instant::now();
         let cached = state.cache.get_stamped(key);
         let took = lookup.elapsed();
-        state.observe_phase(PH_CACHE_LOOKUP, took);
+        state.phases.observe(Phase::CacheLookup, took);
         trace::note_phase("cache", took);
         if let Some(hit) = cached {
             let mut resp = Response::json(200, hit.body.as_bytes().to_vec())
@@ -529,7 +472,7 @@ fn solve(state: &EdgeState, req: &Request) -> Response {
             return resp;
         }
     }
-    match state.forward("POST", "/solve", Some(("application/json", &req.body))) {
+    match state.forward("POST", "/solve", Some(&req.body)) {
         Ok(up) => {
             if up.status == 200 {
                 if let Some(key) = key {
@@ -549,7 +492,7 @@ fn solve(state: &EdgeState, req: &Request) -> Response {
                     }
                 }
             }
-            relay(up).with_header("x-antruss-edge", "miss")
+            relay(&up).set_header("x-antruss-edge", "miss")
         }
         Err(_) => Response::error(
             503,
@@ -569,7 +512,7 @@ fn listing(state: &EdgeState, path: &'static str) -> Response {
                     state.listing.lock().unwrap().insert(path, Arc::new(body));
                 }
             }
-            relay(up)
+            relay(&up)
         }
         Err(_) => match state.listing.lock().unwrap().get(path) {
             Some(last) => Response::json(200, last.as_bytes().to_vec())
@@ -583,127 +526,57 @@ fn listing(state: &EdgeState, path: &'static str) -> Response {
 /// listings): pure passthrough, 503 when offline.
 fn passthrough_get(state: &EdgeState, req: &Request) -> Response {
     match state.forward("GET", &forward_target(req), None) {
-        Ok(up) => relay(up),
+        Ok(up) => relay(&up),
         Err(_) => Response::error(503, "upstream unreachable"),
     }
 }
 
 /// A running edge; dropping it shuts it down and joins every thread.
 pub struct Edge {
-    state: Arc<EdgeState>,
-    pool: AcceptPool,
-    subscriber: Option<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
-    /// The drain snapshot prints at most once, even though `Drop` calls
-    /// [`Edge::shutdown`] again after an explicit shutdown.
-    drained: bool,
+    front: Front<EdgeState>,
 }
 
 impl Edge {
     /// Binds, starts the worker pool and the event subscriber.
     pub fn start(config: EdgeConfig) -> io::Result<Edge> {
         let state = EdgeState::new(config)?;
-        let threads = resolve_threads(state.config.threads);
-        let pool = {
-            let accept_state = Arc::clone(&state);
-            let serve_state = Arc::clone(&state);
-            AcceptPool::start(
-                &state.config.addr,
-                threads,
-                "antruss-edge",
-                Arc::new(move || accept_state.is_shutdown()),
-                Arc::new(move |stream, accepted: Instant| {
-                    let state = Arc::clone(&serve_state);
-                    // the queue wait is a property of the connection's
-                    // first request only; keep-alive follow-ups were
-                    // never queued
-                    let mut queued = Some(accepted.elapsed());
-                    run_connection(
-                        stream,
-                        state.config.max_body_bytes,
-                        &state.shutdown,
-                        &mut |req, phases| {
-                            if let Some(q) = queued.take() {
-                                state.observe_phase(PH_QUEUE_WAIT, q);
-                            }
-                            state.observe_phase(PH_ACCEPT_WAIT, phases.wait);
-                            state.observe_phase(PH_PARSE, phases.parse);
-                            handle(&state, req)
-                        },
-                        &mut |_req, took| state.observe_phase(PH_WRITE, took),
-                        &mut || {
-                            state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                            state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-                        },
-                    );
-                }),
-            )?
-        };
-        let subscriber = {
-            let state = Arc::clone(&state);
-            prof::spawn("antruss-edge-sync", "subscriber", move || sync::run(state))?
-        };
-        let sampler = tier::spawn_sampler(&state, state.config.metrics_interval_ms);
-        Ok(Edge {
-            state,
-            pool,
-            subscriber: Some(subscriber),
-            sampler,
-            drained: false,
-        })
+        let config = &state.config;
+        let mut front = Front::start(
+            Arc::clone(&state),
+            &config.addr,
+            config.threads,
+            config.max_body_bytes,
+            config.metrics_interval_ms,
+        )?;
+        let subscriber = Arc::clone(&state);
+        front.keep(prof::spawn("antruss-edge-sync", "subscriber", move || {
+            sync::run(subscriber)
+        })?);
+        Ok(Edge { front })
     }
 
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.pool.addr()
+        self.front.addr()
     }
 
     /// The shared state (for tests and metrics scraping in-process).
     pub fn state(&self) -> &Arc<EdgeState> {
-        &self.state
+        self.front.tier()
     }
 
-    /// Stops accepting, joins the workers and the subscriber. On a
-    /// SIGINT-driven shutdown the final metrics snapshot and the
-    /// slow-trace dump go to stderr (the edge keeps no data dir).
+    /// Stops accepting, joins the workers and the subscriber; a
+    /// SIGINT-driven shutdown also prints the drain snapshot (the edge
+    /// keeps no data dir). Calling it again does nothing.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.pool.join();
-        if let Some(s) = self.subscriber.take() {
-            let _ = s.join();
-        }
-        if let Some(s) = self.sampler.take() {
-            let _ = s.join();
-        }
-        if sigint_received() && !self.drained {
-            self.drained = true;
-            eprintln!(
-                "--- final metrics snapshot ---\n{}",
-                tier::registry(&*self.state).render()
-            );
-            eprintln!(
-                "--- final profile snapshot ---\n{}",
-                prof::debug_json("edge")
-            );
-            if !self.state.traces.is_empty() {
-                eprintln!(
-                    "--- slowest traces ---\n{}",
-                    self.state.traces.render_text()
-                );
-            }
-        }
-    }
-}
-
-impl Drop for Edge {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.front.stop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use antruss_service::Client;
 
     fn edge_state() -> Arc<EdgeState> {
         // port 9 (discard) is never listened on locally: forwards fail

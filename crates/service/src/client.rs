@@ -1,10 +1,12 @@
 //! A minimal blocking HTTP client for the service: just enough for the
 //! load generator, the integration tests and the programmatic example.
-//! Reuses one keep-alive connection per [`Client`].
+//! Reuses one keep-alive connection per [`Client`]; [`Pool`] keeps a few
+//! of them per upstream for the forwarding tiers.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// One response as the client sees it.
 #[derive(Debug, Clone)]
@@ -187,6 +189,81 @@ impl Client {
     }
 }
 
+/// Idle keep-alive connections a [`Pool`] keeps. The tier above checks
+/// one out per forward and returns it on success, so the hot path pays
+/// no TCP handshake. Kept small: the upstream dedicates a worker to a
+/// connection for as long as it stays open, so every *idle* pooled
+/// connection pins an upstream worker — over-pooling would starve small
+/// worker pools outright.
+const POOL_PER_UPSTREAM: usize = 4;
+
+/// Pooled connections idle longer than this are dropped at checkout
+/// instead of reused. Closing them promptly releases the upstream
+/// worker each open connection pins, long before the upstream's own
+/// 30 s idle deadline would — without this, a burst that opens more
+/// connections than the upstream has workers can leave a later request
+/// queued behind an *idle* connection for the full deadline.
+const POOL_IDLE_MAX: Duration = Duration::from_secs(2);
+
+/// Keep-alive connections to one upstream (a backend behind the router,
+/// the router or serving node behind an edge): at most
+/// [`POOL_PER_UPSTREAM`] idle, none reused after [`POOL_IDLE_MAX`].
+pub struct Pool {
+    addr: SocketAddr,
+    /// Idle connections, newest last, each stamped with when it went
+    /// idle.
+    idle: Mutex<Vec<(Client, Instant)>>,
+}
+
+impl Pool {
+    /// An empty pool for `addr`.
+    pub fn new(addr: SocketAddr) -> Pool {
+        Pool {
+            addr,
+            idle: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// One exchange over a pooled connection (a fresh one when none is
+    /// idle). `POST` sends `body` (empty when `None`) as JSON. The
+    /// connection returns to the pool on success and is dropped on
+    /// failure; the client's single retry covers the idle-close race (a
+    /// pooled connection the upstream reaped mid-idle).
+    pub fn send(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&[u8]>,
+        headers: &[(String, String)],
+    ) -> std::io::Result<ClientResponse> {
+        let mut client = self.checkout();
+        let body = (method == "POST").then(|| ("application/json", body.unwrap_or_default()));
+        let result = client.request(method, path, body, headers);
+        if result.is_ok() {
+            self.checkin(client);
+        }
+        result
+    }
+
+    fn checkout(&self) -> Client {
+        let mut idle = self.idle.lock().expect("upstream pool lock poisoned");
+        // retire EVERY over-age connection, not just the newest —
+        // entries at the bottom of this LIFO would otherwise sit idle
+        // forever, pinning an upstream worker each
+        idle.retain(|(_, since)| since.elapsed() < POOL_IDLE_MAX);
+        idle.pop()
+            .map(|(client, _)| client)
+            .unwrap_or_else(|| Client::new(self.addr))
+    }
+
+    fn checkin(&self, client: Client) {
+        let mut idle = self.idle.lock().expect("upstream pool lock poisoned");
+        if idle.len() < POOL_PER_UPSTREAM {
+            idle.push((client, Instant::now()));
+        }
+    }
+}
+
 fn read_response(stream: &mut TcpStream) -> std::io::Result<ClientResponse> {
     let mut buf = Vec::new();
     let head_end = loop {
@@ -252,4 +329,51 @@ fn read_response(stream: &mut TcpStream) -> std::io::Result<ClientResponse> {
         headers,
         body,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn pool() -> Pool {
+        Pool::new("127.0.0.1:9".parse().unwrap())
+    }
+
+    #[test]
+    fn checkin_keeps_at_most_the_cap() {
+        let pool = pool();
+        for _ in 0..POOL_PER_UPSTREAM + 3 {
+            pool.checkin(Client::new(pool.addr));
+        }
+        assert_eq!(pool.idle.lock().unwrap().len(), POOL_PER_UPSTREAM);
+    }
+
+    #[test]
+    fn connections_idle_past_the_limit_are_not_handed_out() {
+        let pool = pool();
+        let stale = Instant::now()
+            .checked_sub(POOL_IDLE_MAX + Duration::from_millis(1))
+            .expect("monotonic clock has run long enough");
+        {
+            let mut idle = pool.idle.lock().unwrap();
+            for port in [1, 2] {
+                let addr = SocketAddr::from(([127, 0, 0, 1], port));
+                idle.push((Client::new(addr), stale));
+            }
+        }
+        // both stale entries are retired, and a fresh connection to the
+        // pool's own upstream is handed out instead
+        assert_eq!(pool.checkout().addr, pool.addr);
+        assert!(pool.idle.lock().unwrap().is_empty());
+
+        // a fresh entry below a stale one is reused; the stale one goes
+        let fresh = SocketAddr::from(([127, 0, 0, 1], 3));
+        {
+            let mut idle = pool.idle.lock().unwrap();
+            idle.push((Client::new(SocketAddr::from(([127, 0, 0, 1], 4))), stale));
+            idle.push((Client::new(fresh), Instant::now()));
+        }
+        assert_eq!(pool.checkout().addr, fresh);
+        assert!(pool.idle.lock().unwrap().is_empty());
+    }
 }

@@ -360,6 +360,13 @@ impl Response {
         self
     }
 
+    /// Sets a header, replacing every earlier value of `name` (a relayed
+    /// reply may already carry one from the tier below).
+    pub fn set_header(mut self, name: &str, value: &str) -> Response {
+        self.extra_headers.retain(|(n, _)| n != name);
+        self.with_header(name, value)
+    }
+
     /// Serializes the response; `close` adds `Connection: close`.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> io::Result<()> {
         let mut head = format!(
@@ -513,6 +520,18 @@ mod tests {
         assert!(text.contains("x-antruss-cache: hit\r\n"), "{text}");
         assert!(text.contains("connection: keep-alive\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{}"), "{text}");
+
+        let replaced = Response::json(200, "{}")
+            .with_header("x-antruss-shard", "1")
+            .with_header("x-antruss-cache", "hit")
+            .set_header("x-antruss-shard", "2");
+        assert_eq!(
+            replaced.extra_headers,
+            [
+                ("x-antruss-cache".to_string(), "hit".to_string()),
+                ("x-antruss-shard".to_string(), "2".to_string()),
+            ]
+        );
 
         let mut out = Vec::new();
         Response::error(404, "no such \"thing\"")

@@ -74,10 +74,9 @@ pub mod tier;
 
 pub use cache::{CacheKey, CacheStats, OutcomeCache};
 pub use catalog::{canonical_key, Catalog, CatalogError, MutationOutcome};
-pub use client::{Client, ClientResponse};
+pub use client::{Client, ClientResponse, Pool};
 pub use events::{Event, EventBatch, EventKind, EventLog};
 pub use heartbeat::{CursorSource, HeartbeatClient};
 pub use server::{
-    handle, parse_dump_entries, parse_solve, AcceptPool, ConnPhases, Server, ServerConfig,
-    ServiceState, SolveRequest,
+    handle, parse_dump_entries, parse_solve, Server, ServerConfig, ServiceState, SolveRequest,
 };

@@ -19,13 +19,16 @@ use antruss_store::StoreStats;
 
 use crate::cache::CacheStats;
 
-/// The per-request phases every tier attributes latency to.
+/// The per-request phases the tiers attribute latency to; each tier
+/// exports the subset it records (see `docs/metrics.md`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Connection accepted → first request byte seen (client think time
-    /// on keep-alive connections counts here, not against the server).
+    /// Keep-alive idle time before the request's bytes arrived: the
+    /// connection loop's whole read-timeout ticks (client think time
+    /// counts here, not against the tier).
     AcceptWait = 0,
-    /// Accepted connection sat in the worker-pool queue.
+    /// The accepted connection sat in the acceptor→worker channel;
+    /// recorded once per connection, at its first request.
     QueueWait = 1,
     /// Reading + parsing the request head and body.
     Parse = 2,
@@ -35,19 +38,69 @@ pub enum Phase {
     Solve = 4,
     /// Serializing the outcome to JSON.
     Serialize = 5,
+    /// Exchanges with the tier below (on the router, fan-outs too).
+    Forward = 6,
     /// Writing the response to the socket.
-    Write = 6,
+    Write = 7,
 }
 
-/// Every phase with its exposition label, in recording order.
-pub const PHASES: [(Phase, &str); 7] = [
-    (Phase::AcceptWait, "accept_wait"),
-    (Phase::QueueWait, "queue_wait"),
-    (Phase::Parse, "parse"),
-    (Phase::CacheLookup, "cache_lookup"),
-    (Phase::Solve, "solve"),
-    (Phase::Serialize, "serialize"),
-    (Phase::Write, "write"),
+impl Phase {
+    /// The exposition label (`accept_wait`, `queue_wait`, …).
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::AcceptWait => "accept_wait",
+            Phase::QueueWait => "queue_wait",
+            Phase::Parse => "parse",
+            Phase::CacheLookup => "cache_lookup",
+            Phase::Solve => "solve",
+            Phase::Serialize => "serialize",
+            Phase::Forward => "forward",
+            Phase::Write => "write",
+        }
+    }
+}
+
+/// One latency histogram per [`Phase`].
+#[derive(Default)]
+pub struct Phases([Histogram; 8]);
+
+impl Phases {
+    /// The histogram recording `phase`.
+    pub fn get(&self, phase: Phase) -> &Histogram {
+        &self.0[phase as usize]
+    }
+
+    /// Records one duration against `phase`.
+    pub fn observe(&self, phase: Phase, d: Duration) {
+        self.0[phase as usize].observe(d);
+    }
+
+    /// Registers the histograms of `phases`, in that order, as the
+    /// `{family}_seconds` histogram and `{family}_quantile_seconds`
+    /// gauges, labelled by `phase`.
+    pub fn register(&self, reg: &mut Registry, family: &str, phases: &[Phase]) {
+        let (hist, quantiles) = (
+            format!("{family}_seconds"),
+            format!("{family}_quantile_seconds"),
+        );
+        for &phase in phases {
+            let snap = self.get(phase).snapshot();
+            let labels = [("phase", phase.label())];
+            reg.histogram(&hist, &labels, &snap);
+            reg.quantiles(&quantiles, &labels, &snap);
+        }
+    }
+}
+
+/// The phases a backend records, in exposition order.
+const SERVER_PHASES: [Phase; 7] = [
+    Phase::AcceptWait,
+    Phase::QueueWait,
+    Phase::Parse,
+    Phase::CacheLookup,
+    Phase::Solve,
+    Phase::Serialize,
+    Phase::Write,
 ];
 
 /// The endpoint classes whose latency is tracked separately.
@@ -116,7 +169,8 @@ pub struct Metrics {
     pub mutations: AtomicU64,
     /// Cache entries accepted via `/cache/load` (replication warm-up).
     pub warmed_entries: AtomicU64,
-    phases: [Histogram; PHASES.len()],
+    /// Per-phase latency.
+    pub phases: Phases,
     endpoints: [Histogram; ENDPOINTS.len()],
 }
 
@@ -131,19 +185,9 @@ impl Metrics {
             in_flight: AtomicU64::new(0),
             mutations: AtomicU64::new(0),
             warmed_entries: AtomicU64::new(0),
-            phases: std::array::from_fn(|_| Histogram::new()),
+            phases: Phases::default(),
             endpoints: std::array::from_fn(|_| Histogram::new()),
         }
-    }
-
-    /// The histogram recording `phase`.
-    pub fn phase(&self, phase: Phase) -> &Histogram {
-        &self.phases[phase as usize]
-    }
-
-    /// Records one duration against `phase`.
-    pub fn observe_phase(&self, phase: Phase, d: Duration) {
-        self.phases[phase as usize].observe(d);
     }
 
     /// Records one request's total handler latency against its endpoint
@@ -155,7 +199,7 @@ impl Metrics {
     /// Records one solve's compute wall-clock time.
     pub fn observe_solve(&self, elapsed: Duration) {
         self.solves.fetch_add(1, Ordering::Relaxed);
-        self.observe_phase(Phase::Solve, elapsed);
+        self.phases.observe(Phase::Solve, elapsed);
     }
 
     /// Builds the full metrics [`Registry`] — shared by the `/metrics`
@@ -236,15 +280,8 @@ impl Metrics {
             r.gauge("antruss_store_recovered_ops", s.recovered_ops as f64);
             r.gauge("antruss_store_dropped_wal_bytes", s.dropped_bytes as f64);
         }
-        for (phase, label) in PHASES {
-            let snap = self.phases[phase as usize].snapshot();
-            r.histogram("antruss_request_phase_seconds", &[("phase", label)], &snap);
-            r.quantiles(
-                "antruss_request_phase_quantile_seconds",
-                &[("phase", label)],
-                &snap,
-            );
-        }
+        self.phases
+            .register(&mut r, "antruss_request_phase", &SERVER_PHASES);
         for (class, label) in ENDPOINTS {
             let snap = self.endpoints[class as usize].snapshot();
             r.histogram(
@@ -260,7 +297,7 @@ impl Metrics {
         }
         // the historical summary gauges, now derived from the solve
         // phase histogram (cumulative since start, no longer windowed)
-        let solve = self.phase(Phase::Solve).snapshot();
+        let solve = self.phases.get(Phase::Solve).snapshot();
         r.gauge(
             "antruss_solve_latency_p50_seconds",
             solve.quantile_seconds(0.5),
@@ -322,12 +359,12 @@ mod tests {
         }
         // log2 buckets: the estimate is within a factor of two of the
         // exact order statistic
-        let solve = m.phase(Phase::Solve).snapshot();
+        let solve = m.phases.get(Phase::Solve).snapshot();
         let p50 = solve.quantile_seconds(0.5);
         assert!((0.025..=0.100).contains(&p50), "{p50}");
         let p99 = solve.quantile_seconds(0.99);
         assert!((0.0495..=0.198).contains(&p99), "{p99}");
-        let empty = Metrics::new().phase(Phase::Solve).snapshot();
+        let empty = Metrics::new().phases.get(Phase::Solve).snapshot();
         assert_eq!(empty.quantile_seconds(0.5), 0.0);
     }
 
@@ -342,8 +379,14 @@ mod tests {
             m.observe_solve(Duration::from_millis(1));
         }
         assert_eq!(m.solves.load(Ordering::Relaxed), 2001);
-        assert_eq!(m.phase(Phase::Solve).snapshot().count(), 2001);
-        assert!(m.phase(Phase::Solve).snapshot().quantile_seconds(0.9999) > 5.0);
+        assert_eq!(m.phases.get(Phase::Solve).snapshot().count(), 2001);
+        assert!(
+            m.phases
+                .get(Phase::Solve)
+                .snapshot()
+                .quantile_seconds(0.9999)
+                > 5.0
+        );
     }
 
     #[test]

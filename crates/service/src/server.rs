@@ -20,11 +20,11 @@
 //! workers finish the request they are on, answer it with
 //! `Connection: close`, and drain.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use antruss_core::engine::{registry, RunConfig, Solver};
@@ -39,9 +39,9 @@ use antruss_obs::{self as obs, prof, trace, Recorder, Registry, SlowTraces};
 use crate::cache::{CacheKey, OutcomeCache};
 use crate::catalog::{Catalog, CatalogError};
 use crate::events::EventLog;
-use crate::http::{read_request_expecting, ReadError, Request, Response};
-use crate::metrics::{EndpointClass, InFlight, Metrics, Phase};
-use crate::tier::{self, Tier, SLOW_TRACE_CAP};
+use crate::http::{Request, Response};
+use crate::metrics::{EndpointClass, InFlight, Metrics, Phase, Phases};
+use crate::tier::{self, Front, Tier, SLOW_TRACE_CAP};
 
 /// Tunables of one server instance.
 #[derive(Debug, Clone)]
@@ -242,12 +242,16 @@ impl Tier for ServiceState {
         &self.recorder
     }
 
+    fn phases(&self) -> &Phases {
+        &self.metrics.phases
+    }
+
     fn events(&self) -> &EventLog {
         self.catalog.events()
     }
 
-    fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+    fn draining(&self) -> &AtomicBool {
+        &self.shutdown
     }
 
     fn objectives(&self) -> &[Objective] {
@@ -286,6 +290,27 @@ impl Tier for ServiceState {
     fn observe(&self, req: &Request, elapsed: Duration) {
         self.metrics
             .observe_endpoint(EndpointClass::of(&req.method, &req.path), elapsed);
+    }
+
+    fn serve(&self, req: &Request) -> Response {
+        handle(self, req)
+    }
+
+    /// A SIGINT drain writes its snapshots beside the durable state.
+    fn drain_dir(&self) -> Option<&Path> {
+        self.config.data_dir.as_deref().map(Path::new)
+    }
+
+    /// Graceful shutdown persists the outcome cache for a warm restart;
+    /// a crash simply skips this and the cache re-warms from peers or
+    /// recomputes.
+    fn on_stop(&self) {
+        if let Some(store) = &self.store {
+            let dump = format!("[{}]", render_dump(&self.cache.dump()));
+            if let Err(e) = store.persist_cache(&dump) {
+                obs::warn!("store", "could not persist the outcome cache: {e}");
+            }
+        }
     }
 }
 
@@ -921,7 +946,7 @@ fn solve(state: &ServiceState, req: &Request) -> Response {
     let cached = state.cache.get_stamped(&key);
     let (lookup_cpu, lookup_bytes) = lookup_cost.finish();
     let lookup = lookup_started.elapsed();
-    state.metrics.observe_phase(Phase::CacheLookup, lookup);
+    state.metrics.phases.observe(Phase::CacheLookup, lookup);
     trace::note_phase("cache", lookup);
     trace::note_phase_cost("cache", lookup_cpu, lookup_bytes);
     if let Some(hit) = cached {
@@ -972,7 +997,10 @@ fn solve(state: &ServiceState, req: &Request) -> Response {
             let serialized = Arc::new(outcome.to_json());
             let (ser_cpu, ser_bytes) = serialize_cost.finish();
             let serialized_in = serialize_started.elapsed();
-            state.metrics.observe_phase(Phase::Serialize, serialized_in);
+            state
+                .metrics
+                .phases
+                .observe(Phase::Serialize, serialized_in);
             trace::note_phase("serialize", serialized_in);
             trace::note_phase_cost("serialize", ser_cpu, ser_bytes);
             // the graph may have been mutated or deleted *while* this
@@ -993,120 +1021,9 @@ fn solve(state: &ServiceState, req: &Request) -> Response {
     }
 }
 
-/// The shared TCP front: a non-blocking accept loop feeding a bounded
-/// `crossbeam` channel drained by a fixed worker pool (backpressure when
-/// every worker is busy). Extracted from [`Server`] so the cluster
-/// router can reuse the exact same socket discipline.
-pub struct AcceptPool {
-    addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl AcceptPool {
-    /// Binds `bind_addr` and starts `threads` workers, each running
-    /// `serve` per accepted connection (the `Instant` is the accept
-    /// time, so the tier can attribute worker-queue wait). `is_shutdown`
-    /// is polled by the acceptor between accepts; once it turns true the
-    /// acceptor exits and dropping the channel sender releases the
-    /// workers.
-    pub fn start(
-        bind_addr: &str,
-        threads: usize,
-        name: &str,
-        is_shutdown: Arc<dyn Fn() -> bool + Send + Sync>,
-        serve: Arc<dyn Fn(TcpStream, Instant) + Send + Sync>,
-    ) -> std::io::Result<AcceptPool> {
-        let listener = TcpListener::bind(bind_addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-
-        let (tx, rx) = crossbeam::channel::bounded::<(TcpStream, Instant)>(threads * 4);
-        let mut workers = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let rx = rx.clone();
-            let serve = Arc::clone(&serve);
-            workers.push(prof::spawn(
-                &format!("{name}-worker-{i}"),
-                "worker",
-                move || {
-                    while let Ok((stream, accepted)) = rx.recv() {
-                        serve(stream, accepted);
-                    }
-                },
-            )?);
-        }
-        drop(rx);
-
-        let acceptor = prof::spawn(&format!("{name}-acceptor"), "accept", move || {
-            // `tx` lives in this thread; dropping it on exit is what
-            // releases the workers from `recv`
-            while !is_shutdown() {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let _ = stream.set_nonblocking(false);
-                        if tx.send((stream, Instant::now())).is_err() {
-                            break;
-                        }
-                    }
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        thread::sleep(Duration::from_millis(10));
-                    }
-                    Err(_) => thread::sleep(Duration::from_millis(10)),
-                }
-            }
-        })?;
-
-        Ok(AcceptPool {
-            addr,
-            acceptor: Some(acceptor),
-            workers,
-        })
-    }
-
-    /// The bound address (with the real port when `:0` was requested).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Joins the acceptor and every worker. Idempotent; the caller must
-    /// have flipped its shutdown flag first, or this blocks forever.
-    pub fn join(&mut self) {
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-impl Drop for AcceptPool {
-    fn drop(&mut self) {
-        self.join();
-    }
-}
-
-/// Resolves a configured thread count (`0` = one per core, capped at 8).
-pub fn resolve_threads(configured: usize) -> usize {
-    match configured {
-        0 => thread::available_parallelism()
-            .map_or(4, |n| n.get())
-            .min(8),
-        n => n,
-    }
-}
-
 /// A running server; dropping it shuts it down and joins every thread.
 pub struct Server {
-    state: Arc<ServiceState>,
-    pool: AcceptPool,
-    sampler: Option<JoinHandle<()>>,
+    front: Front<ServiceState>,
     started: Instant,
 }
 
@@ -1116,69 +1033,44 @@ impl Server {
     /// disk — so the first routed request already sees the durable
     /// state).
     pub fn start(config: ServerConfig) -> std::io::Result<Server> {
-        let threads = resolve_threads(config.threads);
         let state = Arc::new(ServiceState::open(config)?);
-        let shutdown_state = Arc::clone(&state);
-        let conn_state = Arc::clone(&state);
-        let pool = AcceptPool::start(
-            &state.config.addr,
-            threads,
-            "antruss",
-            Arc::new(move || shutdown_state.shutdown.load(Ordering::SeqCst)),
-            Arc::new(move |stream, accepted| serve_connection(&conn_state, stream, accepted)),
+        let config = &state.config;
+        let front = Front::start(
+            Arc::clone(&state),
+            &config.addr,
+            config.threads,
+            config.max_body_bytes,
+            config.metrics_interval_ms,
         )?;
-        let sampler = tier::spawn_sampler(&state, state.config.metrics_interval_ms);
         Ok(Server {
-            state,
-            pool,
-            sampler,
+            front,
             started: Instant::now(),
         })
     }
 
     /// The bound address (with the real port when `:0` was requested).
     pub fn addr(&self) -> SocketAddr {
-        self.pool.addr()
+        self.front.addr()
     }
 
     /// The shared state (handy for in-process inspection in tests).
     pub fn state(&self) -> &Arc<ServiceState> {
-        &self.state
-    }
-
-    fn stop(&mut self) -> String {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.pool.join();
-        if let Some(sampler) = self.sampler.take() {
-            let _ = sampler.join();
-        }
-        // graceful shutdown persists the outcome cache for a warm
-        // restart; a crash simply skips this and the cache re-warms
-        // from peers or recomputes
-        if let Some(store) = &self.state.store {
-            let dump = format!("[{}]", render_dump(&self.state.cache.dump()));
-            if let Err(e) = store.persist_cache(&dump) {
-                obs::warn!("store", "could not persist the outcome cache: {e}");
-            }
-        }
-        if sigint_received() {
-            drain_snapshot(&self.state);
-        }
-        let cache = self.state.cache.stats();
-        format!(
-            "served {} request(s) ({} solve(s), {} cache hit(s), {} error(s)) in {:.1}s",
-            self.state.metrics.requests.load(Ordering::Relaxed),
-            self.state.metrics.solves.load(Ordering::Relaxed),
-            cache.hits,
-            self.state.metrics.errors.load(Ordering::Relaxed),
-            self.started.elapsed().as_secs_f64()
-        )
+        self.front.tier()
     }
 
     /// Stops accepting, drains in-flight work, joins every thread and
     /// reports totals.
     pub fn shutdown(mut self) -> String {
-        self.stop()
+        self.front.stop();
+        let state = self.state();
+        format!(
+            "served {} request(s) ({} solve(s), {} cache hit(s), {} error(s)) in {:.1}s",
+            state.metrics.requests.load(Ordering::Relaxed),
+            state.metrics.solves.load(Ordering::Relaxed),
+            state.cache.stats().hits,
+            state.metrics.errors.load(Ordering::Relaxed),
+            self.started.elapsed().as_secs_f64()
+        )
     }
 
     /// Blocks until SIGINT (ctrl-c), then shuts down gracefully. On
@@ -1186,45 +1078,10 @@ impl Server {
     /// [`ServiceState::shutdown`] from another thread.
     pub fn run_until_sigint(self) -> String {
         install_sigint_handler();
-        while !sigint_received() && !self.state.shutdown.load(Ordering::SeqCst) {
+        while !sigint_received() && !self.state().shutdown.load(Ordering::SeqCst) {
             thread::sleep(Duration::from_millis(100));
         }
         self.shutdown()
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        let _ = self.stop();
-    }
-}
-
-/// Emits the final observability snapshot of a SIGINT drain: the full
-/// metrics document plus the slow-trace dump — into `--data-dir`
-/// (`final_metrics.prom`, `slow_traces.json`) when one is configured,
-/// to stderr otherwise, so the last state of a stopping process is
-/// never lost with it.
-fn drain_snapshot(state: &ServiceState) {
-    let metrics = tier::registry(state).render();
-    let profile = prof::debug_json("server");
-    if let Some(dir) = &state.config.data_dir {
-        let dir = std::path::Path::new(dir);
-        if std::fs::write(dir.join("final_metrics.prom"), &metrics).is_ok()
-            && std::fs::write(dir.join("slow_traces.json"), state.traces.to_json()).is_ok()
-            && std::fs::write(dir.join("final_prof.json"), &profile).is_ok()
-        {
-            obs::info!(
-                "serve",
-                "drain: wrote final_metrics.prom, slow_traces.json and final_prof.json to {}",
-                dir.display()
-            );
-            return;
-        }
-    }
-    eprintln!("--- final metrics snapshot ---\n{metrics}");
-    eprintln!("--- final profile snapshot ---\n{profile}");
-    if !state.traces.is_empty() {
-        eprintln!("--- slowest traces ---\n{}", state.traces.render_text());
     }
 }
 
@@ -1261,133 +1118,6 @@ pub fn install_sigint_handler() {
 /// Idempotent; a no-op on non-unix platforms.
 #[cfg(not(unix))]
 pub fn install_sigint_handler() {}
-
-/// Per-request inactivity timeout. Short enough that shutdown (polled
-/// between reads) completes promptly; keep-alive connections survive any
-/// number of idle periods.
-const READ_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Keep-alive connections idle longer than this are closed. A worker
-/// serves one connection at a time, so without a deadline a handful of
-/// idle-but-open clients (monitoring agents, browsers) would pin the
-/// whole pool and starve new connections.
-const IDLE_DEADLINE: Duration = Duration::from_secs(30);
-
-/// What the connection loop measured about the request it hands the
-/// handler: time the connection sat idle before this request's bytes
-/// arrived (client think time on keep-alive connections) and the time
-/// spent reading + parsing them.
-pub struct ConnPhases {
-    /// Full idle read-timeout ticks before the request arrived.
-    pub wait: Duration,
-    /// Duration of the successful read + parse (includes any sub-tick
-    /// wait for the first byte).
-    pub parse: Duration,
-}
-
-/// Runs the HTTP/1.1 keep-alive loop on one accepted connection,
-/// routing every parsed request through `handle` (with the loop's
-/// [`ConnPhases`] timings). Shared by [`Server`] and the cluster
-/// router, so both speak the identical wire discipline (read timeouts,
-/// idle deadline, `100 Continue`, graceful close on shutdown). `wrote`
-/// is invoked after each response write with the time the socket write
-/// took — the hook where callers feed their write-phase histogram.
-/// `protocol_error` is invoked once per request-level protocol failure
-/// (413/400) answered before the connection closes — the hook where
-/// callers count errors.
-pub fn run_connection(
-    mut stream: TcpStream,
-    max_body: usize,
-    shutdown: &AtomicBool,
-    handle: &mut dyn FnMut(&Request, &ConnPhases) -> Response,
-    wrote: &mut dyn FnMut(&Request, Duration),
-    protocol_error: &mut dyn FnMut(),
-) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-    let _ = stream.set_nodelay(true);
-    let mut carry = Vec::new();
-    let max_idle_ticks = (IDLE_DEADLINE.as_millis() / READ_TIMEOUT.as_millis()).max(1) as u32;
-    let mut idle_ticks = 0u32;
-    let mut waited = Duration::ZERO;
-    loop {
-        // `100 Continue` interim responses go through a clone of the
-        // stream: the read side is mid-request in `read_request_expecting`
-        let mut writer = stream.try_clone().ok();
-        let mut send_continue = || {
-            if let Some(w) = writer.as_mut() {
-                let _ = w.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
-                let _ = w.flush();
-            }
-        };
-        let read_started = Instant::now();
-        match read_request_expecting(&mut stream, &mut carry, max_body, &mut send_continue) {
-            Ok(req) => {
-                idle_ticks = 0;
-                let phases = ConnPhases {
-                    wait: waited,
-                    parse: read_started.elapsed(),
-                };
-                waited = Duration::ZERO;
-                let resp = handle(&req, &phases);
-                let close = req.wants_close() || shutdown.load(Ordering::SeqCst);
-                let write_started = Instant::now();
-                let written = resp.write_to(&mut stream, close);
-                wrote(&req, write_started.elapsed());
-                if written.is_err() || close {
-                    return;
-                }
-            }
-            Err(ReadError::Idle) => {
-                idle_ticks += 1;
-                waited += read_started.elapsed();
-                if shutdown.load(Ordering::SeqCst) || idle_ticks >= max_idle_ticks {
-                    return;
-                }
-            }
-            Err(ReadError::Eof) => return,
-            Err(ReadError::TooLarge { limit }) => {
-                protocol_error();
-                let _ = Response::error(413, &format!("body exceeds {limit} bytes"))
-                    .write_to(&mut stream, true);
-                return;
-            }
-            Err(ReadError::Bad(msg)) => {
-                protocol_error();
-                let _ = Response::error(400, &msg).write_to(&mut stream, true);
-                return;
-            }
-            Err(ReadError::Io(_)) => return,
-        }
-        // a flushed response may leave the worker waiting here for the
-        // connection's next request; that's the keep-alive loop
-        let _ = stream.flush();
-    }
-}
-
-fn serve_connection(state: &ServiceState, stream: TcpStream, accepted: Instant) {
-    // the queue wait is a property of the connection's first request
-    // only; keep-alive follow-ups were never queued
-    let mut queued = Some(accepted.elapsed());
-    run_connection(
-        stream,
-        state.config.max_body_bytes,
-        &state.shutdown,
-        &mut |req, phases| {
-            if let Some(q) = queued.take() {
-                state.metrics.observe_phase(Phase::QueueWait, q);
-            }
-            state.metrics.observe_phase(Phase::AcceptWait, phases.wait);
-            state.metrics.observe_phase(Phase::Parse, phases.parse);
-            handle(state, req)
-        },
-        &mut |_req, took| state.metrics.observe_phase(Phase::Write, took),
-        &mut || {
-            state.metrics.requests.fetch_add(1, Ordering::Relaxed);
-            state.metrics.errors.fetch_add(1, Ordering::Relaxed);
-        },
-    );
-}
 
 #[cfg(test)]
 mod tests {

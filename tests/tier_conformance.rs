@@ -2,9 +2,12 @@
 //! front of it and to an edge in front of that. Every tier runs the same
 //! middleware and ops routes, so the ops replies (including their 400
 //! bodies) are identical, every `/solve` reply carries the trace id, a
-//! hop per tier it crossed and a cost folded over those hops, and no ops
-//! path ever lands in a tier's slow-trace ring.
+//! hop per tier it crossed and a cost folded over those hops, no ops
+//! path ever lands in a tier's slow-trace ring, no reply carries an
+//! `x-antruss-*` header twice, and each tier's `/metrics` exports exactly
+//! its documented request phases.
 
+use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
@@ -15,8 +18,26 @@ use antruss::obs::prof::{parse_cost, COST_HEADER};
 use antruss::obs::trace::{parse_hops, HOPS_HEADER, TRACE_HEADER};
 use antruss::service::{Client, ClientResponse, EventBatch, Server, ServerConfig};
 
+/// A relaying tier stamps its own `x-antruss-*` headers over the ones
+/// it relays (an edge gates on the first events stamp it finds), so no
+/// reply may carry one name twice.
+fn assert_no_repeated_headers(what: &str, resp: &ClientResponse) {
+    let mut seen = BTreeSet::new();
+    for (name, _) in &resp.headers {
+        if name.starts_with("x-antruss-") {
+            assert!(
+                seen.insert(name),
+                "{what}: {name} twice in {:?}",
+                resp.headers
+            );
+        }
+    }
+}
+
 fn get(addr: SocketAddr, path: &str) -> ClientResponse {
-    Client::new(addr).get(path).expect("GET")
+    let resp = Client::new(addr).get(path).expect("GET");
+    assert_no_repeated_headers(&format!("GET {path}"), &resp);
+    resp
 }
 
 fn solve(addr: SocketAddr, body: &str) -> ClientResponse {
@@ -24,7 +45,26 @@ fn solve(addr: SocketAddr, body: &str) -> ClientResponse {
         .post("/solve", "application/json", body.as_bytes())
         .expect("POST /solve");
     assert_eq!(resp.status, 200, "{}", resp.body_string());
+    assert_no_repeated_headers(&format!("POST /solve {body}"), &resp);
     resp
+}
+
+/// The `phase` labels of the `{family}_seconds` histogram and the
+/// `{family}_quantile_seconds` gauges in a `/metrics` document.
+fn phase_labels(metrics: &str, family: &str) -> (BTreeSet<String>, BTreeSet<String>) {
+    let labels = |prefix: String| -> BTreeSet<String> {
+        metrics
+            .lines()
+            .filter(|l| l.starts_with(&prefix))
+            .filter_map(|l| l.split("phase=\"").nth(1))
+            .filter_map(|rest| rest.split('"').next())
+            .map(String::from)
+            .collect()
+    };
+    (
+        labels(format!("{family}_seconds")),
+        labels(format!("{family}_quantile_seconds")),
+    )
 }
 
 /// The ops paths every tier answers without tracing them (the router's
@@ -152,6 +192,13 @@ fn every_tier_serves_the_same_middleware_and_ops_routes() {
         );
     }
 
+    // a backend hit relayed by the router (and the edge's miss of it)
+    // carries the backend's events stamps too, which the router replaces
+    for addr in [router.addr(), edge.addr()] {
+        let again = solve(addr, r#"{"graph":"college:0.05","b":2,"seed":1}"#);
+        assert_eq!(again.header("x-antruss-cache"), Some("hit"));
+    }
+
     let hit = solve(edge.addr(), r#"{"graph":"college:0.05","b":2,"seed":3}"#);
     assert_eq!(hit.header("x-antruss-edge"), Some("hit"));
     let hops = parse_hops(hit.header(HOPS_HEADER).expect("hops header"));
@@ -163,6 +210,44 @@ fn every_tier_serves_the_same_middleware_and_ops_routes() {
             get(addr, path);
         }
     }
+    // each tier exports exactly its documented phases (docs/metrics.md)
+    let documented = [
+        (
+            "antruss_request_phase",
+            &[
+                "accept_wait",
+                "queue_wait",
+                "parse",
+                "cache_lookup",
+                "solve",
+                "serialize",
+                "write",
+            ][..],
+        ),
+        (
+            "antruss_router_request_phase",
+            &["accept_wait", "queue_wait", "parse", "forward", "write"][..],
+        ),
+        (
+            "antruss_edge_request_phase",
+            &[
+                "accept_wait",
+                "queue_wait",
+                "parse",
+                "cache_lookup",
+                "forward",
+                "write",
+            ][..],
+        ),
+    ];
+    for ((name, addr, _), (family, phases)) in tiers.into_iter().zip(documented) {
+        let metrics = get(addr, "/metrics").body_string();
+        let want: BTreeSet<String> = phases.iter().map(|p| p.to_string()).collect();
+        let (hist, quantiles) = phase_labels(&metrics, family);
+        assert_eq!(hist, want, "{name}: {family}_seconds");
+        assert_eq!(quantiles, want, "{name}: {family}_quantile_seconds");
+    }
+
     for (name, addr, _) in tiers {
         let ring = json::parse(&get(addr, "/debug/traces").body_string()).expect("ring JSON");
         let ops: Vec<&str> = ring
